@@ -17,8 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often a fleet handle re-probes its backend while waiting.
-const FLEET_POLL: Duration = Duration::from_millis(10);
+/// The shortest server-side wait a handle asks for (unless its caller's
+/// deadline is nearer).
+const MIN_WAIT_SLICE: Duration = Duration::from_millis(1);
 
 /// Static description of the fleet: where the backends are and how
 /// aggressively to probe, evict, and steal.
@@ -39,11 +40,11 @@ pub struct FleetConfig {
     pub steal_patience: Duration,
     /// Connect deadline for the initial dial of each backend.
     pub connect_timeout: Duration,
-    /// Read deadline on every backend round trip.  Fleet handles only
-    /// ever issue quick non-blocking verbs (`try_result`, not
-    /// server-side `RESULT wait`), so a reply that out-waits this is a
-    /// wedged or draining backend — the deadline is what turns such a
-    /// zombie into a routable [`ExecError::TimedOut`] instead of a hang.
+    /// Read deadline on every backend round trip.  Fleet handles wait
+    /// on the server in slices of at most half this long (`RESULT <id>
+    /// wait <ms>`), so a reply that out-waits it is a wedged or draining
+    /// backend — the deadline is what turns such a zombie into a
+    /// routable [`ExecError::TimedOut`] instead of a hang.
     pub request_timeout: Duration,
 }
 
@@ -694,6 +695,26 @@ impl FleetJob {
         self.dispatched = Instant::now();
     }
 
+    /// How long the next server-side wait may run: half the request
+    /// timeout (so the reply beats the read deadline), no longer than
+    /// the steal patience for a sweep job (so a lagging backend is
+    /// noticed), and no longer than the caller has left.
+    // Deliberate timing code: the slice is bounded by the deadline.
+    #[allow(clippy::disallowed_methods)]
+    fn wait_slice(&self, deadline: Option<Instant>) -> Duration {
+        let config = &self.shared.config;
+        let mut slice = config.request_timeout / 2;
+        if self.tracker.is_some() {
+            slice = slice.min(config.steal_patience);
+        }
+        // A zero-length slice from a degenerate config would spin.
+        slice = slice.max(MIN_WAIT_SLICE);
+        match deadline {
+            Some(deadline) => slice.min(deadline.saturating_duration_since(Instant::now())),
+            None => slice,
+        }
+    }
+
     /// One result probe against the current backend, rerouting (at most
     /// `attempts` times, naturally bounded by the fleet size inside
     /// `dispatch`) when the backend is gone.
@@ -723,29 +744,33 @@ impl JobControl for FleetJob {
         }
     }
 
-    // Deliberate timing code: the bounded wait polls against a deadline.
+    // Deliberate timing code: the wait is sliced against a deadline.
     #[allow(clippy::disallowed_methods)]
     fn wait(&mut self, timeout: Option<Duration>) -> Result<Arc<RunOutcome>, ExecError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        // A timeout too large to represent is no deadline at all.
+        let deadline = timeout.and_then(|timeout| Instant::now().checked_add(timeout));
         loop {
-            match self.probe_outcome() {
-                Ok(Some(outcome)) => {
+            match self.inner.wait_timeout(self.wait_slice(deadline)) {
+                Ok(outcome) => {
                     self.mark_done();
                     return Ok(outcome);
                 }
-                Ok(None) => {}
+                Err(ExecError::NotFinished) => {}
+                Err(ExecError::BackendLost(_) | ExecError::TimedOut) => {
+                    if let Err(lost) = self.reroute() {
+                        self.mark_done();
+                        return Err(lost);
+                    }
+                }
                 Err(terminal) => {
                     self.mark_done();
                     return Err(terminal);
                 }
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(ExecError::NotFinished);
-                }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(ExecError::NotFinished);
             }
             self.maybe_steal();
-            std::thread::sleep(FLEET_POLL);
         }
     }
 

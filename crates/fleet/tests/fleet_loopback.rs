@@ -10,6 +10,8 @@
 //!   reroutes.
 //! - **Work stealing**: a sweep job queued behind a long run on a busy
 //!   backend is re-dispatched to an idle one.
+//! - **Server-side waits**: a handle waiting on a running job issues a
+//!   couple of `RESULT` requests, not one per poll interval.
 
 use ctori_coloring::Color;
 use ctori_engine::{Executor, RuleSpec, RunSpec, Runner, SeedSpec, SubmitOptions, TopologySpec};
@@ -94,6 +96,44 @@ fn identical_specs_route_to_the_same_backend_and_hit_its_cache() {
             .expect("shutdown");
         server.join().expect("server thread").expect("serve");
     }
+}
+
+#[test]
+fn waiting_blocks_on_the_server_instead_of_polling() {
+    let (addr, server) = start_server(1);
+    let fleet = FleetExecutor::connect(FleetConfig::new([addr.clone()])).expect("fleet");
+    let mut admin = ServiceClient::connect(addr.as_str()).expect("admin connection");
+    let mut result_requests = || {
+        admin
+            .metrics()
+            .expect("metrics")
+            .counter("server.requests.RESULT")
+            .unwrap_or(0)
+    };
+
+    // Tens of milliseconds of work even in an optimised build, hundreds
+    // in a debug one: a 10 ms poll would send several RESULTs.
+    let spec = slow_spec(512);
+    let before = result_requests();
+    let mut handle = fleet
+        .submit(&spec, SubmitOptions::default())
+        .expect("submit");
+    assert_eq!(
+        *handle.wait().expect("job finishes"),
+        Runner::with_threads(1).execute(&spec)
+    );
+    let requests = result_requests() - before;
+    assert!(
+        requests <= 2,
+        "{requests} RESULT requests for one wait: the handle polled"
+    );
+
+    fleet.drain();
+    ServiceClient::connect(addr.as_str())
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    server.join().expect("server thread").expect("serve");
 }
 
 #[test]

@@ -30,7 +30,7 @@
 
 use crate::error::ServiceError;
 use crate::job::{JobId, JobStatus, Priority};
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{self, Request, Response, ResultWait, MAX_RESULT_WAIT_MS};
 use crate::stats::ServiceStats;
 use ctori_engine::exec::RunEvent;
 use ctori_engine::{JobTrace, MetricsSnapshot, RunOutcome, RunSpec};
@@ -88,22 +88,40 @@ impl ServiceClient {
         })
     }
 
+    /// Connects to a resolved endpoint with a reply-read cap already in
+    /// place (see [`ServiceClient::set_read_timeout`]); a cap also bounds
+    /// the dial itself.  This is how a second connection to the same
+    /// server is opened with the settings of the first.
+    pub fn dial(peer: SocketAddr, read_timeout: Option<Duration>) -> Result<Self, ServiceError> {
+        let writer = match read_timeout {
+            Some(timeout) => TcpStream::connect_timeout(&peer, timeout)?,
+            None => TcpStream::connect(peer)?,
+        };
+        let mut client = Self::from_stream(writer)?;
+        client.set_read_timeout(read_timeout)?;
+        Ok(client)
+    }
+
     /// The server endpoint this client is (or was) connected to.
     pub fn peer_addr(&self) -> SocketAddr {
         self.peer
     }
 
+    /// The configured reply-read cap (`None` when reads may block
+    /// indefinitely).
+    pub fn read_timeout(&self) -> Option<Duration> {
+        self.read_timeout
+    }
+
     /// Drops the current connection and dials the same server again,
-    /// re-applying the configured read timeout.  Use after
+    /// re-applying the configured read timeout (see
+    /// [`ServiceClient::dial`]).  Use after
     /// [`ServiceError::ConnectionLost`] or a mid-request
     /// [`ServiceError::TimedOut`] left the old connection unusable; the
     /// server keeps job state across connections, so ids from before the
     /// drop remain valid.
     pub fn reconnect(&mut self) -> Result<(), ServiceError> {
-        let writer = TcpStream::connect(self.peer)?;
-        writer.set_read_timeout(self.read_timeout)?;
-        self.reader = BufReader::new(writer.try_clone()?);
-        self.writer = writer;
+        *self = Self::dial(self.peer, self.read_timeout)?;
         Ok(())
     }
 
@@ -173,17 +191,31 @@ impl ServiceClient {
     /// Blocks (server-side) until the job terminates and returns its
     /// outcome.
     pub fn result(&mut self, id: JobId) -> Result<RunOutcome, ServiceError> {
-        self.fetch_result(id, true)
+        self.fetch_result(id, ResultWait::Forever)
     }
 
     /// Non-blocking result probe: `Ok(None)` while the job is still
     /// queued or running.
     pub fn try_result(&mut self, id: JobId) -> Result<Option<RunOutcome>, ServiceError> {
-        match self.fetch_result(id, false) {
-            Ok(outcome) => Ok(Some(outcome)),
-            Err(ServiceError::Remote { code, .. }) if code == "not-done" => Ok(None),
-            Err(other) => Err(other),
-        }
+        pending_as_none(self.fetch_result(id, ResultWait::Immediate))
+    }
+
+    /// Bounded server-side wait (`RESULT <id> wait <ms>`): the reply
+    /// comes as soon as the job terminates, or `Ok(None)` once `timeout`
+    /// (rounded up to whole milliseconds, capped at
+    /// [`MAX_RESULT_WAIT_MS`]) runs out.  Either way the connection is
+    /// ready for the next request.  Keep `timeout` below the read
+    /// timeout, or the client gives up before the server replies.
+    pub fn result_within(
+        &mut self,
+        id: JobId,
+        timeout: Duration,
+    ) -> Result<Option<RunOutcome>, ServiceError> {
+        let ms = timeout
+            .as_nanos()
+            .div_ceil(1_000_000)
+            .min(u128::from(MAX_RESULT_WAIT_MS)) as u64;
+        pending_as_none(self.fetch_result(id, ResultWait::Within(ms)))
     }
 
     /// Polls a job's buffered progress events: everything with
@@ -239,23 +271,16 @@ impl ServiceClient {
         }
     }
 
-    /// Asks the server to drain and exit, consuming the connection.
+    /// Asks the server to drain and exit, consuming the connection (the
+    /// server closes it after `OK bye`).
     pub fn shutdown(mut self) -> Result<(), ServiceError> {
-        self.request_shutdown()
-    }
-
-    /// As [`ServiceClient::shutdown`], but keeps the client value alive
-    /// (the connection is spent either way — the server closes it after
-    /// `OK bye`).  This is what lets a shared client behind a lock
-    /// forward a drain request.
-    pub fn request_shutdown(&mut self) -> Result<(), ServiceError> {
         match self.roundtrip(&Request::Shutdown)? {
             Response::Bye => Ok(()),
             other => Err(unexpected(other)),
         }
     }
 
-    fn fetch_result(&mut self, id: JobId, wait: bool) -> Result<RunOutcome, ServiceError> {
+    fn fetch_result(&mut self, id: JobId, wait: ResultWait) -> Result<RunOutcome, ServiceError> {
         match self.roundtrip(&Request::Result { id, wait })? {
             Response::Result(text) => Ok(RunOutcome::from_text(&text)?),
             other => Err(unexpected(other)),
@@ -284,6 +309,18 @@ impl ServiceClient {
             None
         };
         Response::from_parts(&header, payload.as_deref())?.into_result()
+    }
+}
+
+/// Maps the `not-done` reply of a non-blocking or bounded `RESULT` to
+/// `Ok(None)`.
+fn pending_as_none(
+    result: Result<RunOutcome, ServiceError>,
+) -> Result<Option<RunOutcome>, ServiceError> {
+    match result {
+        Ok(outcome) => Ok(Some(outcome)),
+        Err(ServiceError::Remote { code, .. }) if code == "not-done" => Ok(None),
+        Err(other) => Err(other),
     }
 }
 

@@ -78,7 +78,7 @@ pub use cache::ResultCache;
 pub use client::ServiceClient;
 pub use error::ServiceError;
 pub use job::{JobId, JobState, JobStatus, Priority};
-pub use protocol::{Request, Response};
+pub use protocol::{Request, Response, ResultWait};
 pub use remote::RemoteExecutor;
 pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{Server, ServiceConfig};

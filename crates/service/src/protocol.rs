@@ -12,13 +12,22 @@
 //! | `SUBMIT [priority=P]` | one spec | `OK job <id>` |
 //! | `SWEEP [priority=P]` | specs separated by `--` lines | `OK jobs <id>…` |
 //! | `STATUS <id>` | — | `OK status <state> [cached]` |
-//! | `RESULT <id> [wait]` | — | `OK result` + outcome block |
+//! | `RESULT <id> [wait [ms]]` | — | `OK result` + outcome block |
 //! | `WATCH <id> [since-round]` | — | `OK events` + event block |
 //! | `CANCEL <id>` | — | `OK cancelled` |
 //! | `STATS` | — | `OK stats` + stats block |
 //! | `METRICS` | — | `OK metrics` + metrics block |
 //! | `TRACE <id>` | — | `OK trace` + span block |
 //! | `SHUTDOWN` | — | `OK bye`, then the server drains and exits |
+//!
+//! `RESULT <id>` replies at once (`ERR not-done` while the job is
+//! pending); `RESULT <id> wait` blocks the reply until the job is
+//! terminal; `RESULT <id> wait <ms>` blocks at most `ms` milliseconds
+//! (capped at [`MAX_RESULT_WAIT_MS`]) and then replies `ERR not-done`,
+//! leaving the connection ready for the next request.  The bounded form
+//! is how the remote and fleet handles wait: each slice stays shorter
+//! than the client's read deadline, so a wait never looks like a hung
+//! server.
 //!
 //! `WATCH` is the **polled progress stream** of the execution API: the
 //! reply block holds the job's buffered
@@ -46,6 +55,10 @@ pub const SWEEP_SEPARATOR: &str = "--";
 
 /// The line terminating a payload block.
 pub const END_OF_BLOCK: &str = ".";
+
+/// The longest server-side wait one `RESULT <id> wait <ms>` may ask for;
+/// a larger `ms` is a `bad-request`.
+pub const MAX_RESULT_WAIT_MS: u64 = 60_000;
 
 // ---------------------------------------------------------------------------
 // Block framing
@@ -142,12 +155,12 @@ pub enum Request {
         /// The job.
         id: JobId,
     },
-    /// Fetch a job's outcome; with `wait`, block until it is terminal.
+    /// Fetch a job's outcome, optionally blocking until it is terminal.
     Result {
         /// The job.
         id: JobId,
-        /// Whether to block server-side until the job terminates.
-        wait: bool,
+        /// How long the server may hold the reply back.
+        wait: ResultWait,
     },
     /// Poll a job's buffered progress events.
     Watch {
@@ -178,6 +191,18 @@ pub enum Request {
     Shutdown,
 }
 
+/// How long a `RESULT` request may block server-side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ResultWait {
+    /// Reply at once: `ERR not-done` while the job is pending.
+    Immediate,
+    /// Block until the job is terminal.
+    Forever,
+    /// Block at most this many milliseconds (at most
+    /// [`MAX_RESULT_WAIT_MS`]), then reply `ERR not-done`.
+    Within(u64),
+}
+
 impl Request {
     /// Renders the full wire form (header line plus payload block, when
     /// the verb carries one).
@@ -205,13 +230,11 @@ impl Request {
                 format!("SWEEP priority={priority}\n{}", encode_block(&payload))
             }
             Request::Status { id } => format!("STATUS {id}\n"),
-            Request::Result { id, wait } => {
-                if *wait {
-                    format!("RESULT {id} wait\n")
-                } else {
-                    format!("RESULT {id}\n")
-                }
-            }
+            Request::Result { id, wait } => match wait {
+                ResultWait::Immediate => format!("RESULT {id}\n"),
+                ResultWait::Forever => format!("RESULT {id} wait\n"),
+                ResultWait::Within(ms) => format!("RESULT {id} wait {ms}\n"),
+            },
             Request::Watch { id, since } => match since {
                 Some(round) => format!("WATCH {id} {round}\n"),
                 None => format!("WATCH {id}\n"),
@@ -315,11 +338,19 @@ impl Request {
                 })
             }
             Some("RESULT") => {
-                arity(2..=3)?;
-                let wait = match tokens.get(2) {
-                    None => false,
-                    Some(&"wait") => true,
-                    Some(other) => {
+                arity(2..=4)?;
+                let wait = match (tokens.get(2), tokens.get(3)) {
+                    (None, _) => ResultWait::Immediate,
+                    (Some(&"wait"), None) => ResultWait::Forever,
+                    (Some(&"wait"), Some(raw)) => match raw.parse::<u64>() {
+                        Ok(ms) if ms <= MAX_RESULT_WAIT_MS => ResultWait::Within(ms),
+                        _ => {
+                            return Err(ServiceError::Protocol(format!(
+                                "RESULT wait takes 0..={MAX_RESULT_WAIT_MS} ms, got {raw:?}"
+                            )))
+                        }
+                    },
+                    (Some(other), _) => {
                         return Err(ServiceError::Protocol(format!(
                             "unknown RESULT flag {other:?}"
                         )))
@@ -612,11 +643,15 @@ mod tests {
         round_trip_request(Request::Status { id: JobId::new(7) });
         round_trip_request(Request::Result {
             id: JobId::new(8),
-            wait: true,
+            wait: ResultWait::Forever,
         });
         round_trip_request(Request::Result {
             id: JobId::new(9),
-            wait: false,
+            wait: ResultWait::Immediate,
+        });
+        round_trip_request(Request::Result {
+            id: JobId::new(7),
+            wait: ResultWait::Within(250),
         });
         round_trip_request(Request::Watch {
             id: JobId::new(4),
@@ -648,7 +683,7 @@ mod tests {
             Request::Status { id: JobId::new(1) },
             Request::Result {
                 id: JobId::new(1),
-                wait: false,
+                wait: ResultWait::Immediate,
             },
             Request::Watch {
                 id: JobId::new(1),
@@ -803,6 +838,39 @@ mod tests {
         // Unexpected EOF inside a block.
         let mut reader = BufReader::new("line-one\n".as_bytes());
         assert!(read_block(&mut reader).is_err());
+    }
+
+    #[test]
+    fn bounded_result_wait_parses_and_rejects() {
+        assert_eq!(
+            Request::Result {
+                id: JobId::new(7),
+                wait: ResultWait::Within(250),
+            }
+            .wire(),
+            "RESULT 7 wait 250\n"
+        );
+        assert_eq!(
+            Request::from_parts(&format!("RESULT 7 wait {MAX_RESULT_WAIT_MS}"), None).unwrap(),
+            Request::Result {
+                id: JobId::new(7),
+                wait: ResultWait::Within(MAX_RESULT_WAIT_MS),
+            }
+        );
+        let over_cap = format!("RESULT 7 wait {}", MAX_RESULT_WAIT_MS + 1);
+        for header in [
+            "RESULT 7 wait abc",
+            "RESULT 7 wait -1",
+            over_cap.as_str(),
+            "RESULT 7 wait 250 now",
+            "RESULT 7 soon 250",
+        ] {
+            let error = Request::from_parts(header, None).unwrap_err();
+            match Response::from_error(&error) {
+                Response::Error { code, .. } => assert_eq!(code, "bad-request", "{header}"),
+                other => panic!("expected Error for {header:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The TCP backend of the engine's execution API.
 //!
-//! [`RemoteExecutor`] implements [`ctori_engine::Executor`] over one
-//! [`ServiceClient`] connection, so the *same* caller code that drives a
+//! [`RemoteExecutor`] implements [`ctori_engine::Executor`] over
+//! [`ServiceClient`] connections, so the *same* caller code that drives a
 //! [`ctori_engine::LocalExecutor`] drives a `ctori-serve` process
 //! instead — submit returns a [`ctori_engine::JobHandle`] whose
 //! `status`/`wait`/`try_outcome`/`cancel` map onto the protocol verbs
 //! and whose polled event stream is fed by `WATCH <id> [since-round]`.
 //!
-//! The connection is shared behind a mutex: the protocol is strictly
-//! request/reply, so every handle operation is one serialized round
-//! trip.  `wait()` holds the connection for the duration of a
-//! server-side `RESULT <id> wait`, which blocks the *other* handles of
-//! the same executor — prefer `wait_observed` (event polling) when
-//! several handles multiplex one connection; a bounded
-//! [`JobHandle::wait_timeout`](ctori_engine::JobHandle::wait_timeout)
-//! polls instead of blocking, so it never starves its siblings.
+//! Connections come from a small free-list to the same server: each
+//! operation takes an idle connection (or dials a new one with the
+//! first connection's peer and read timeout), makes its round trip and
+//! puts the connection back.  No lock is held across a round trip, so a
+//! handle blocked in a server-side wait never holds up a sibling's
+//! `SUBMIT` or `STATUS`.  A bounded wait is a loop of
+//! `RESULT <id> wait <ms>` slices, each shorter than the read timeout,
+//! so the server answers as soon as the job terminates and a slice that
+//! runs out is a `not-done` reply, not a client-side timeout.
 //!
 //! ```no_run
 //! use ctori_engine::{Executor, SubmitOptions};
@@ -41,15 +42,18 @@ use ctori_engine::exec::{
     ExecError, Executor, JobControl, JobHandle, JobStatus, RunEvent, SubmitOptions,
 };
 use ctori_engine::{JobTrace, MetricsSnapshot, RunOutcome, RunSpec};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often a bounded remote wait polls the server.
-const REMOTE_POLL: Duration = Duration::from_millis(20);
+/// Idle connections kept per server; a connection returned beyond this
+/// is closed.  The free-list only grows to the number of operations in
+/// flight at once, so this bounds a burst, not the steady state.
+const MAX_IDLE: usize = 8;
 
 /// A [`ctori_engine::Executor`] backed by a simulation server over TCP.
 pub struct RemoteExecutor {
-    client: Arc<Mutex<ServiceClient>>,
+    pool: Arc<ClientPool>,
 }
 
 impl RemoteExecutor {
@@ -68,44 +72,43 @@ impl RemoteExecutor {
         )?))
     }
 
-    /// Wraps an already-connected client.
+    /// Wraps an already-connected client.  Further connections to the
+    /// same server are dialed on demand with its peer address and read
+    /// timeout.
     pub fn new(client: ServiceClient) -> Self {
         RemoteExecutor {
-            client: Arc::new(Mutex::new(client)),
+            pool: Arc::new(ClientPool::new(client)),
         }
     }
 
     /// The service counters (cache hits, queue depth, …) — the remote
     /// analogue of the local pool's stats snapshot.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        retry_lost(&self.client, |client| client.stats())
+        self.pool.run(|client| client.stats())
     }
 
     /// The server's full telemetry exposition — the remote analogue of
     /// [`ctori_engine::LocalExecutor::telemetry`], fetched as one
     /// [`MetricsSnapshot`] rather than live instrument handles.
     pub fn metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
-        retry_lost(&self.client, |client| client.metrics())
+        self.pool.run(|client| client.metrics())
     }
 
     /// A job's lifecycle span ring, fetched from the server — the
     /// remote analogue of [`ctori_engine::LocalExecutor::job_trace`].
     pub fn trace(&self, id: JobId) -> Result<JobTrace, ServiceError> {
-        retry_lost(&self.client, |client| client.trace(id))
+        self.pool.run(|client| client.trace(id))
     }
 
-    /// Asks the server to drain and exit (`SHUTDOWN`); the connection is
-    /// spent afterwards.  This is deliberately **not** what
-    /// [`Executor::drain`] does: a remote server is shared
-    /// infrastructure, so killing it must be an explicit, named act —
-    /// backend-agnostic caller code that drains its executor must stay
-    /// safe to point at a server other clients are using.
+    /// Asks the server to drain and exit (`SHUTDOWN`).  This is
+    /// deliberately **not** what [`Executor::drain`] does: a remote
+    /// server is shared infrastructure, so killing it must be an
+    /// explicit, named act — backend-agnostic caller code that drains
+    /// its executor must stay safe to point at a server other clients
+    /// are using.
     pub fn shutdown_server(&self) -> Result<(), ServiceError> {
-        self.lock().request_shutdown()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ServiceClient> {
-        self.client.lock().expect("remote client poisoned")
+        // The connection is spent, not returned to the free-list.
+        self.pool.take()?.shutdown()
     }
 }
 
@@ -114,11 +117,11 @@ impl Executor for RemoteExecutor {
         // A retried SUBMIT may land twice when the reply (not the request)
         // was lost; that is safe — jobs are content-addressed by
         // `RunSpec::canonical_key()`, so the duplicate is a cache hit.
-        let id = retry_lost(&self.client, |client| {
-            client.submit_with_priority(spec, options.priority)
-        })
-        .map_err(lower)?;
-        Ok(remote_handle(&self.client, id))
+        let id = self
+            .pool
+            .run(|client| client.submit_with_priority(spec, options.priority))
+            .map_err(lower)?;
+        Ok(remote_handle(&self.pool, id))
     }
 
     fn submit_sweep(
@@ -126,13 +129,13 @@ impl Executor for RemoteExecutor {
         specs: &[RunSpec],
         options: SubmitOptions,
     ) -> Result<Vec<JobHandle>, ExecError> {
-        let ids = retry_lost(&self.client, |client| {
-            client.sweep_with_priority(specs, options.priority)
-        })
-        .map_err(lower)?;
+        let ids = self
+            .pool
+            .run(|client| client.sweep_with_priority(specs, options.priority))
+            .map_err(lower)?;
         Ok(ids
             .into_iter()
-            .map(|id| remote_handle(&self.client, id))
+            .map(|id| remote_handle(&self.pool, id))
             .collect())
     }
 
@@ -147,35 +150,89 @@ impl Executor for RemoteExecutor {
     }
 }
 
-fn remote_handle(client: &Arc<Mutex<ServiceClient>>, id: JobId) -> JobHandle {
+fn remote_handle(pool: &Arc<ClientPool>, id: JobId) -> JobHandle {
     JobHandle::new(Box::new(RemoteHandle {
-        client: Arc::clone(client),
+        pool: Arc::clone(pool),
         id,
         last_round: None,
         stream_closed: false,
     }))
 }
 
-/// Runs one client operation under the shared-connection lock, dialing the
-/// server again and retrying **exactly once** when the transport dropped
-/// ([`ServiceError::ConnectionLost`]) or a read deadline fired mid-request
-/// ([`ServiceError::TimedOut`] — the connection may hold a half-read reply,
-/// so a fresh dial is the only safe recovery either way).  If the redial
-/// itself fails the *original* error is returned, so a dead server still
-/// surfaces as `ConnectionLost` rather than a connect failure.
-fn retry_lost<T>(
-    client: &Arc<Mutex<ServiceClient>>,
-    mut op: impl FnMut(&mut ServiceClient) -> Result<T, ServiceError>,
-) -> Result<T, ServiceError> {
-    let mut guard = client.lock().expect("remote client poisoned");
-    match op(&mut guard) {
-        Err(first @ (ServiceError::ConnectionLost | ServiceError::TimedOut)) => {
-            if guard.reconnect().is_err() {
-                return Err(first);
-            }
-            op(&mut guard)
+/// The free-list of connections to one server, shared by an executor
+/// and all of its handles.  The mutex guards only the push and pop.
+struct ClientPool {
+    idle: Mutex<Vec<ServiceClient>>,
+    peer: SocketAddr,
+    read_timeout: Option<Duration>,
+}
+
+impl ClientPool {
+    fn new(client: ServiceClient) -> ClientPool {
+        ClientPool {
+            peer: client.peer_addr(),
+            read_timeout: client.read_timeout(),
+            idle: Mutex::new(vec![client]),
         }
-        other => other,
+    }
+
+    /// An idle connection, or a new one.  The server answered when this
+    /// executor connected, so a failed dial surfaces as
+    /// [`ServiceError::ConnectionLost`].
+    fn take(&self) -> Result<ServiceClient, ServiceError> {
+        let idle = self.idle.lock().expect("remote pool poisoned").pop();
+        match idle {
+            Some(client) => Ok(client),
+            None => self.dial(),
+        }
+    }
+
+    fn dial(&self) -> Result<ServiceClient, ServiceError> {
+        ServiceClient::dial(self.peer, self.read_timeout).map_err(|_| ServiceError::ConnectionLost)
+    }
+
+    fn put(&self, client: ServiceClient) {
+        let mut idle = self.idle.lock().expect("remote pool poisoned");
+        if idle.len() < MAX_IDLE {
+            idle.push(client);
+        }
+    }
+
+    /// The longest server-side wait one round trip may ask for: half the
+    /// read timeout, so the reply always beats the client's deadline.
+    /// `None` when reads are uncapped.
+    fn wait_slice(&self) -> Option<Duration> {
+        self.read_timeout.map(|timeout| timeout / 2)
+    }
+
+    /// Runs one client operation on a pooled connection, retrying
+    /// **exactly once** on a freshly dialed connection when the transport
+    /// dropped ([`ServiceError::ConnectionLost`]) or a read deadline fired
+    /// mid-request ([`ServiceError::TimedOut`] — the connection may hold
+    /// a half-read reply, so a fresh dial is the only safe recovery either
+    /// way).  If the redial itself fails the *original* error is returned,
+    /// so a dead server still surfaces as `ConnectionLost` rather than a
+    /// connect failure.  A connection goes back to the free-list only
+    /// after a complete reply; a failed one is dropped.
+    fn run<T>(
+        &self,
+        mut op: impl FnMut(&mut ServiceClient) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let mut client = self.take()?;
+        let result = match op(&mut client) {
+            Err(first @ (ServiceError::ConnectionLost | ServiceError::TimedOut)) => {
+                let Ok(fresh) = self.dial() else {
+                    return Err(first);
+                };
+                client = fresh;
+                op(&mut client)
+            }
+            other => other,
+        };
+        if matches!(result, Ok(_) | Err(ServiceError::Remote { .. })) {
+            self.put(client);
+        }
+        result
     }
 }
 
@@ -210,9 +267,10 @@ fn lower(error: ServiceError) -> ExecError {
     }
 }
 
-/// The remote [`JobControl`]: one protocol round trip per operation.
+/// The remote [`JobControl`]: one protocol round trip per operation
+/// (a bounded wait is a sequence of them).
 struct RemoteHandle {
-    client: Arc<Mutex<ServiceClient>>,
+    pool: Arc<ClientPool>,
     id: JobId,
     /// The highest progress round already delivered through
     /// [`JobControl::poll_events`]; the next `WATCH` resumes after it.
@@ -229,49 +287,54 @@ impl JobControl for RemoteHandle {
 
     fn status(&mut self) -> Result<JobStatus, ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.status(id)).map_err(lower)
+        self.pool.run(|client| client.status(id)).map_err(lower)
     }
 
-    // Deliberate timing code: the bounded wait polls against a deadline.
+    // Deliberate timing code: a bounded wait runs against a deadline.
     #[allow(clippy::disallowed_methods)]
     fn wait(&mut self, timeout: Option<Duration>) -> Result<Arc<RunOutcome>, ExecError> {
-        match timeout {
-            // Unbounded: let the server block the reply until the job is
-            // terminal (one round trip, no polling).
-            None => {
-                let id = self.id;
-                retry_lost(&self.client, |client| client.result(id))
-                    .map(Arc::new)
-                    .map_err(lower)
-            }
-            // Bounded: poll with try_result so the shared connection is
-            // released between probes and no half-read reply can be left
-            // behind by a client-side read deadline.
-            Some(timeout) => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    if let Some(outcome) = self.try_outcome()? {
-                        return Ok(outcome);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ExecError::NotFinished);
-                    }
-                    std::thread::sleep(REMOTE_POLL);
+        let id = self.id;
+        // A timeout too large to represent is no deadline at all.
+        let deadline = timeout.and_then(|timeout| Instant::now().checked_add(timeout));
+        loop {
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let slice = match (remaining, self.pool.wait_slice()) {
+                // No deadline on either side: one server-side wait until
+                // the job is terminal.
+                (None, None) => {
+                    return self
+                        .pool
+                        .run(|client| client.result(id))
+                        .map(Arc::new)
+                        .map_err(lower)
                 }
+                (Some(left), Some(cap)) => left.min(cap),
+                (Some(slice), None) | (None, Some(slice)) => slice,
+            };
+            let outcome = self
+                .pool
+                .run(|client| client.result_within(id, slice))
+                .map_err(lower)?;
+            if let Some(outcome) = outcome {
+                return Ok(Arc::new(outcome));
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(ExecError::NotFinished);
             }
         }
     }
 
     fn try_outcome(&mut self) -> Result<Option<Arc<RunOutcome>>, ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.try_result(id))
+        self.pool
+            .run(|client| client.try_result(id))
             .map(|outcome| outcome.map(Arc::new))
             .map_err(lower)
     }
 
     fn cancel(&mut self) -> Result<(), ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.cancel(id)).map_err(lower)
+        self.pool.run(|client| client.cancel(id)).map_err(lower)
     }
 
     fn poll_events(&mut self) -> Result<Vec<RunEvent>, ExecError> {
@@ -279,7 +342,10 @@ impl JobControl for RemoteHandle {
             return Ok(Vec::new());
         }
         let (id, since) = (self.id, self.last_round);
-        let events = retry_lost(&self.client, |client| client.watch(id, since)).map_err(lower)?;
+        let events = self
+            .pool
+            .run(|client| client.watch(id, since))
+            .map_err(lower)?;
         if let Some(round) = events.iter().filter_map(RunEvent::progress_round).max() {
             self.last_round = Some(round);
         } else if self.last_round.is_none() && events.iter().any(|e| !e.is_terminal()) {

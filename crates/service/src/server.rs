@@ -29,7 +29,7 @@
 //! counters.
 
 use crate::error::ServiceError;
-use crate::protocol::{self, BlockLine, Request, Response};
+use crate::protocol::{self, BlockLine, Request, Response, ResultWait};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::stats::ServiceStats;
 use ctori_engine::telemetry::{monotonic_nanos, Counter, Histogram};
@@ -411,10 +411,11 @@ fn dispatch(request: Request, scheduler: &Scheduler, shutdown: &AtomicBool) -> (
             .and_then(|specs| scheduler.submit_sweep(specs, priority))
             .map(Response::Jobs),
         Request::Status { id } => scheduler.status(id).map(Response::Status),
-        Request::Result { id, wait } => if wait {
-            scheduler.wait_shared(id, None)
-        } else {
-            scheduler.outcome_shared(id)
+        Request::Result { id, wait } => match wait {
+            ResultWait::Immediate => scheduler.outcome_shared(id),
+            ResultWait::Forever => scheduler.wait_shared(id, None),
+            // A wait that runs out is `NotFinished`: `ERR not-done`.
+            ResultWait::Within(ms) => scheduler.wait_shared(id, Some(Duration::from_millis(ms))),
         }
         .map(|outcome| Response::Result(outcome.to_text())),
         Request::Watch { id, since } => scheduler.events_since(id, since).map(Response::Events),
@@ -463,7 +464,7 @@ mod tests {
             Request::Status { id: JobId::new(1) },
             Request::Result {
                 id: JobId::new(1),
-                wait: false,
+                wait: ResultWait::Immediate,
             },
             Request::Watch {
                 id: JobId::new(1),

@@ -12,12 +12,13 @@
 //! marker, with byte-identical outcomes.
 
 use ctori_coloring::Color;
+use ctori_engine::{Executor, SubmitOptions};
 use ctori_engine::{
     MetricsSnapshot, RuleSpec, RunEvent, RunSpec, Runner, SeedSpec, SpanKind, TopologySpec,
 };
 use ctori_service::{
-    JobState, Priority, SchedulerConfig, Server, ServiceClient, ServiceConfig, ServiceError,
-    ServiceStats,
+    JobId, JobState, Priority, RemoteExecutor, SchedulerConfig, Server, ServiceClient,
+    ServiceConfig, ServiceError, ServiceStats,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -286,6 +287,113 @@ fn read_timeout_surfaces_instead_of_blocking_forever() {
     // connect_timeout also works against a live server.
     let probe = ServiceClient::connect_timeout(addr.as_str(), Duration::from_secs(5)).unwrap();
     probe.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// A long-running job: threshold-1 growth floods an `n`×`n` torus in
+/// about `n` rounds of genuine work.
+fn growth(n: usize) -> RunSpec {
+    RunSpec::new(
+        TopologySpec::toroidal_mesh(n, n),
+        RuleSpec::parse("threshold(2,1)").unwrap(),
+        SeedSpec::nodes(Color::new(2), Color::new(1), [0usize]),
+    )
+}
+
+#[test]
+fn bounded_result_wait_runs_out_as_not_done_and_keeps_the_connection() {
+    let (addr, server) = start_server(SchedulerConfig {
+        workers: 1,
+        queue_capacity: 64,
+        cache_capacity: 0,
+        ..SchedulerConfig::default()
+    });
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    // The tail queues behind a long head on the single worker (tens of
+    // milliseconds even in an optimised build), so a short server-side
+    // wait on it runs out.
+    let head = client.submit(&growth(768)).unwrap();
+    let tail = client.submit(&spec(8, 1)).unwrap();
+
+    let mut stream = TcpStream::connect(addr.as_str()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    stream
+        .write_all(format!("RESULT {tail} wait 5\n").as_bytes())
+        .unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR not-done"), "{line}");
+    // The same connection answers the next request.
+    line.clear();
+    stream
+        .write_all(format!("STATUS {tail}\n").as_bytes())
+        .unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("OK status"), "{line}");
+
+    // Through the client: `None` while pending, then the outcome.
+    assert_eq!(
+        client
+            .result_within(tail, Duration::from_millis(5))
+            .unwrap(),
+        None
+    );
+    let outcome = loop {
+        if let Some(outcome) = client.result_within(tail, Duration::from_secs(1)).unwrap() {
+            break outcome;
+        }
+    };
+    assert_eq!(outcome, Runner::with_threads(1).execute(&spec(8, 1)));
+    assert_eq!(client.status(head).unwrap().state, JobState::Done);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_blocked_remote_wait_does_not_starve_its_siblings() {
+    let (addr, server) = default_server();
+    let remote = RemoteExecutor::connect(addr.as_str()).unwrap();
+    let mut admin = ServiceClient::connect(addr.as_str()).unwrap();
+    let result_requests = |admin: &mut ServiceClient| {
+        admin
+            .metrics()
+            .unwrap()
+            .counter("server.requests.RESULT")
+            .unwrap_or(0)
+    };
+
+    let long_spec = growth(512);
+    let mut long = remote.submit(&long_spec, SubmitOptions::default()).unwrap();
+    let long_id: JobId = long
+        .label()
+        .strip_prefix("remote:")
+        .and_then(|id| id.parse().ok())
+        .expect("remote handle label carries the job id");
+    let before = result_requests(&mut admin);
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(move || long.wait().unwrap());
+        // Handle A is now parked in a server-side wait …
+        while result_requests(&mut admin) == before {
+            std::thread::yield_now();
+        }
+        // … and handle B, on the same executor, still submits and waits.
+        let short_spec = spec(8, 2);
+        let mut short = remote
+            .submit(&short_spec, SubmitOptions::default())
+            .unwrap();
+        let outcome = short.wait().unwrap();
+        assert_eq!(*outcome, Runner::with_threads(1).execute(&short_spec));
+        let state = admin.status(long_id).unwrap().state;
+        assert!(
+            !state.is_terminal(),
+            "B finished while A's job was still {state:?}"
+        );
+        assert_eq!(
+            *waiter.join().unwrap(),
+            Runner::with_threads(1).execute(&long_spec)
+        );
+    });
+    admin.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }
 
