@@ -1,17 +1,18 @@
-//! The perf-trajectory recorder: measures band-parallel plane-lane and
-//! generic-frontier throughput over a fixed (threads × torus kind × size
-//! × palette) grid and writes the result as `BENCH_<pr>.json`.
+//! The perf-trajectory recorder: measures plane-lane and generic-frontier
+//! throughput over a fixed (torus kind × size × palette) grid and writes
+//! the result as `BENCH_<pr>.json`.
 //!
 //! Unlike the Criterion benches (interactive, statistical), this binary
 //! produces one machine-readable artefact per PR so throughput history is
 //! diffable: `BENCH_6.json` recorded the single-threaded three-lane
-//! baseline, `BENCH_7.json` adds the threads axis — every grid point
-//! is measured at `threads=1` and `threads=auto`, so the artefact
-//! captures both the lane speedup over the generic frontier and the
-//! intra-run thread scaling (`self_speedup`) — `BENCH_9.json` embeds
+//! baseline, `BENCH_7.json` through `BENCH_10.json` also carried a
+//! threads axis for the since-removed band-parallel stepping (every
+//! point at `threads=1` and `threads=auto`, with `effective_threads` and
+//! `self_speedup` columns); from `BENCH_13.json` on there is one row per
+//! (kind, size, palette) again.  `BENCH_9.json` embeds
 //! a `telemetry` object distilled from a short `LocalExecutor` workload:
 //! queue-wait and run-time quantiles from the pool's latency histograms
-//! plus the dense/sparse band ratio and cell throughput from the step
+//! plus the dense/sparse ratio and cell throughput from the step
 //! profile, so the artefact records latency alongside throughput — and
 //! `BENCH_10.json` adds a `fleet` object: the same cache-cold sweep
 //! timed through a one-backend and a three-backend [`FleetExecutor`]
@@ -33,8 +34,7 @@
 //! diverged kernel.
 //!
 //! With `CTORI_BENCH_ASSERT_SPEEDUP=1` the run *asserts* the headline
-//! ratios (≥ 3× self-speedup on 4096² k=3 with ≥ 8 effective threads;
-//! ≥ 8× over the generic frontier on 1024² k=8 single-threaded; ≥ 2×
+//! ratios (≥ 8× over the generic frontier on 1024² k=8; ≥ 2×
 //! fleet fan-out with three backends on a ≥ 3-core machine); without
 //! it, shortfalls are warnings, because CI and laptop hardware vary.
 
@@ -53,22 +53,16 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// The PR number this artefact belongs to (the perf-trajectory index).
-const PR: u32 = 10;
+const PR: u32 = 13;
 
-/// One measured grid point: the plane lane at one thread setting against
-/// the single-threaded generic frontier on the same workload.
+/// One measured grid point: the plane lane against the generic frontier
+/// on the same workload.
 struct Sample {
     kind: TorusKind,
     size: usize,
     palette: u16,
-    /// `"1"` or `"auto"` — the spec-level thread setting.
-    threads_mode: &'static str,
-    /// The step-thread count the mode resolved to on this machine.
-    effective_threads: usize,
     planes_mcells: f64,
     generic_mcells: f64,
-    /// Plane lane at this thread setting vs plane lane at `threads=1`.
-    self_speedup: f64,
 }
 
 impl Sample {
@@ -102,11 +96,10 @@ fn time_lane(mut sim: Simulator<ThresholdRule>, rounds: u32, cells: usize) -> (f
     (mcells, sim.snapshot())
 }
 
-/// Measures one (kind, size, palette) workload at both thread settings:
-/// the generic frontier once (always sequential — the lane baseline),
-/// the plane lane at `threads=1`, and the plane lane at `threads=auto`.
-/// Exact-equivalence checks gate every recorded number.
-fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Vec<Sample> {
+/// Measures one (kind, size, palette) workload on the plane lane and on
+/// the generic frontier (the lane baseline).  An exact-equivalence check
+/// gates every recorded number.
+fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Sample {
     let torus = Torus::new(kind, size, size);
     let cells = size * size;
     // Threshold-2 activation of the highest palette colour over a dense
@@ -114,7 +107,6 @@ fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Vec<Sampl
     // whole measurement, the same workload as `bench_planes`.
     let rule = ThresholdRule::new(Color::new(palette), 2);
     let coloring = multicolor_scatter(&torus, palette, 0x6 + cells as u64);
-    let auto_threads = default_threads().max(1);
 
     let planes_sim = Simulator::new(&torus, rule, coloring.clone());
     assert!(
@@ -122,11 +114,7 @@ fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Vec<Sampl
         "{} {size}x{size} k={palette}: plane lane not selected",
         kind_key(kind)
     );
-    let (planes_seq_mcells, planes_snap) = time_lane(planes_sim, rounds, cells);
-
-    let planes_auto =
-        Simulator::new(&torus, rule, coloring.clone()).with_step_threads(auto_threads);
-    let (planes_auto_mcells, auto_snap) = time_lane(planes_auto, rounds, cells);
+    let (planes_mcells, planes_snap) = time_lane(planes_sim, rounds, cells);
 
     let generic_sim = Simulator::new(&torus, rule, coloring).with_generic_lane();
     let (generic_mcells, generic_snap) = time_lane(generic_sim, rounds, cells);
@@ -137,34 +125,13 @@ fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Vec<Sampl
         "{} {size}x{size} k={palette}: lanes diverged",
         kind_key(kind)
     );
-    assert_eq!(
-        auto_snap,
-        planes_snap,
-        "{} {size}x{size} k={palette}: band-parallel stepping diverged",
-        kind_key(kind)
-    );
-    vec![
-        Sample {
-            kind,
-            size,
-            palette,
-            threads_mode: "1",
-            effective_threads: 1,
-            planes_mcells: planes_seq_mcells,
-            generic_mcells,
-            self_speedup: 1.0,
-        },
-        Sample {
-            kind,
-            size,
-            palette,
-            threads_mode: "auto",
-            effective_threads: auto_threads,
-            planes_mcells: planes_auto_mcells,
-            generic_mcells,
-            self_speedup: planes_auto_mcells / planes_seq_mcells,
-        },
-    ]
+    Sample {
+        kind,
+        size,
+        palette,
+        planes_mcells,
+        generic_mcells,
+    }
 }
 
 /// Executor-level telemetry distilled from a short pool-driven workload
@@ -310,9 +277,6 @@ fn probe_fleet(quick: bool) -> FleetProbe {
                 RuleSpec::parse("threshold(2,1)").expect("registry rule"),
                 SeedSpec::nodes(Color::new(2), Color::new(1), [n]),
             )
-            // One step thread per job: otherwise every job saturates the
-            // machine on its own and backend fan-out only adds contention.
-            .with_options(ctori_engine::EngineOptions::default().with_threads(1))
         })
         .collect();
     let one = run_fleet_arm(1, &specs);
@@ -396,18 +360,13 @@ fn render(
         let _ = write!(
             out,
             "    {{\"kind\": \"{}\", \"size\": {}, \"palette\": {}, \
-             \"threads\": \"{}\", \"effective_threads\": {}, \
-             \"planes_mcells\": {:.1}, \"generic_mcells\": {:.1}, \
-             \"speedup\": {:.1}, \"self_speedup\": {:.2}}}",
+             \"planes_mcells\": {:.1}, \"generic_mcells\": {:.1}, \"speedup\": {:.1}}}",
             kind_key(s.kind),
             s.size,
             s.palette,
-            s.threads_mode,
-            s.effective_threads,
             s.planes_mcells,
             s.generic_mcells,
             s.speedup_vs_generic(),
-            s.self_speedup,
         );
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
     }
@@ -415,48 +374,24 @@ fn render(
     out
 }
 
-/// The headline perf gates.  Hard assertions only under
-/// `CTORI_BENCH_ASSERT_SPEEDUP` (and, for the scaling gate, only when
-/// the machine actually has the threads); warnings otherwise.
+/// The headline perf gate: hard assertion only under
+/// `CTORI_BENCH_ASSERT_SPEEDUP`, a warning otherwise.
 fn check_headlines(samples: &[Sample]) {
     let assert_hard = std::env::var("CTORI_BENCH_ASSERT_SPEEDUP").is_ok();
-    let mut complaints = Vec::new();
     for s in samples {
-        // ≥ 3× self-speedup on the 4096² k=3 auto row, when ≥ 8 threads
-        // were actually available to scale across.
-        if s.size == 4096 && s.palette == 3 && s.threads_mode == "auto" {
-            if s.effective_threads >= 8 && s.self_speedup < 3.0 {
-                complaints.push(format!(
-                    "{} 4096x4096 k=3: self-speedup {:.2}x < 3x at {} threads",
-                    kind_key(s.kind),
-                    s.self_speedup,
-                    s.effective_threads
-                ));
-            } else if s.effective_threads < 8 {
-                eprintln!(
-                    "note: {} 4096x4096 k=3 scaling gate skipped \
-                     ({} effective threads < 8 on this machine)",
-                    kind_key(s.kind),
-                    s.effective_threads
-                );
-            }
-        }
-        // ≥ 8× over the generic frontier on 1024² k=8, single-threaded —
-        // the PR-6 plane-lane headline must not regress.
-        if s.size == 1024 && s.palette == 8 && s.threads_mode == "1" && s.speedup_vs_generic() < 8.0
-        {
-            complaints.push(format!(
-                "{} 1024x1024 k=8: {:.1}x over generic < 8x single-threaded",
+        // ≥ 8× over the generic frontier on 1024² k=8: the plane
+        // lane's headline ratio must not regress.
+        if s.size == 1024 && s.palette == 8 && s.speedup_vs_generic() < 8.0 {
+            let complaint = format!(
+                "{} 1024x1024 k=8: {:.1}x over generic < 8x",
                 kind_key(s.kind),
                 s.speedup_vs_generic()
-            ));
+            );
+            if assert_hard {
+                panic!("headline perf gate failed: {complaint}");
+            }
+            eprintln!("warning: {complaint}");
         }
-    }
-    for complaint in &complaints {
-        if assert_hard {
-            panic!("headline perf gate failed: {complaint}");
-        }
-        eprintln!("warning: {complaint}");
     }
 }
 
@@ -481,21 +416,16 @@ fn main() {
     for kind in TorusKind::ALL {
         for &size in sizes {
             for &palette in palettes {
-                for sample in measure(kind, size, palette, rounds) {
-                    eprintln!(
-                        "{:<18} {size:>4}x{size:<4} k={palette} threads={:<4} (={}) : \
-                         planes {:>8.1} Mcell/s, generic {:>7.1} Mcell/s, \
-                         {:>5.1}x vs generic, {:>4.2}x self",
-                        kind_key(sample.kind),
-                        sample.threads_mode,
-                        sample.effective_threads,
-                        sample.planes_mcells,
-                        sample.generic_mcells,
-                        sample.speedup_vs_generic(),
-                        sample.self_speedup,
-                    );
-                    samples.push(sample);
-                }
+                let sample = measure(kind, size, palette, rounds);
+                eprintln!(
+                    "{:<18} {size:>4}x{size:<4} k={palette} : \
+                     planes {:>8.1} Mcell/s, generic {:>7.1} Mcell/s, {:>5.1}x vs generic",
+                    kind_key(sample.kind),
+                    sample.planes_mcells,
+                    sample.generic_mcells,
+                    sample.speedup_vs_generic(),
+                );
+                samples.push(sample);
             }
         }
     }

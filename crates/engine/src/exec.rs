@@ -872,10 +872,6 @@ struct PoolState {
     queue: BinaryHeap<QueueRef>,
     queued: usize, // queue entries that are still in state Queued
     running: usize,
-    /// Extra pool slots lent to running jobs as step-threads: a job
-    /// stepping with `T` threads counts as `T` slots (`1` in `running`,
-    /// `T - 1` here), so band-parallel runs never oversubscribe the pool.
-    borrowed: usize,
     jobs: HashMap<u64, JobRecord>,
     /// Terminal job ids, oldest first — the retention window.
     terminal_order: VecDeque<u64>,
@@ -980,7 +976,6 @@ impl LocalExecutor {
                 queue: BinaryHeap::new(),
                 queued: 0,
                 running: 0,
-                borrowed: 0,
                 jobs: HashMap::new(),
                 terminal_order: VecDeque::new(),
                 counters: Counters::default(),
@@ -1441,24 +1436,7 @@ fn worker_loop(shared: &Shared) {
                     push_span(&trace, SpanKind::Running, claimed_at);
                     state.queued -= 1;
                     state.running += 1;
-                    // A job stepping with T threads counts as T pool
-                    // slots: this worker is one, and up to T-1 extra are
-                    // borrowed from idle capacity so band-parallel runs
-                    // never oversubscribe the pool.  `threads=auto`
-                    // resolves pool-aware — to 1 — because the pool is
-                    // already saturated with whole jobs.
-                    let requested = spec.options.threads;
-                    let step_threads = if requested > 1 {
-                        let idle = shared
-                            .workers
-                            .saturating_sub(state.running + state.borrowed);
-                        let extra = (requested - 1).min(idle);
-                        state.borrowed += extra;
-                        1 + extra
-                    } else {
-                        1
-                    };
-                    break Some((entry.id, key, spec, events, trace, claimed_at, step_threads));
+                    break Some((entry.id, key, spec, events, trace, claimed_at));
                 }
                 None if state.shutdown => break None,
                 None => {
@@ -1466,7 +1444,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        let Some((id, key, spec, events, trace, claimed_at, step_threads)) = claimed else {
+        let Some((id, key, spec, events, trace, claimed_at)) = claimed else {
             return; // drained and shutting down
         };
         drop(state);
@@ -1481,7 +1459,6 @@ fn worker_loop(shared: &Shared) {
         if let Some(outcome) = cached {
             state = shared.state.lock().expect("pool poisoned");
             state.running -= 1;
-            state.borrowed -= step_threads - 1;
             // lint: allow(panic) Running jobs are never cancelled or
             // evicted, so the record outlives the worker
             let record = state.jobs.get_mut(&id).expect("running job exists");
@@ -1510,9 +1487,8 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
 
-        // Execute with the slots reserved at claim time (1 when the spec
-        // did not explicitly ask for step-parallelism).  The publisher
-        // touches only the job's own event log, never the pool lock.
+        // Execute on this worker.  The publisher touches only the job's
+        // own event log, never the pool lock.
         let stride = spec.options.progress_stride();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut publisher = EventPublisher {
@@ -1520,7 +1496,7 @@ fn worker_loop(shared: &Shared) {
                 trace: Arc::clone(&trace),
                 stride,
             };
-            Runner::with_threads(step_threads).execute_observed(&spec, &mut publisher)
+            Runner::with_threads(1).execute_observed(&spec, &mut publisher)
         }));
         let result = match result {
             Ok(outcome) => {
@@ -1536,7 +1512,6 @@ fn worker_loop(shared: &Shared) {
 
         state = shared.state.lock().expect("pool poisoned");
         state.running -= 1;
-        state.borrowed -= step_threads - 1;
         // lint: allow(panic) Running jobs are never cancelled or evicted,
         // so the record outlives the worker
         let record = state.jobs.get_mut(&id).expect("running job exists");
@@ -1779,32 +1754,6 @@ mod tests {
             pool.submit_sweep(&[], SubmitOptions::default()),
             Err(ExecError::Backend(_))
         ));
-        pool.shutdown();
-    }
-
-    #[test]
-    fn explicit_step_threads_borrow_pool_slots_and_keep_outcomes() {
-        // A 1-worker pool has no idle capacity to lend: a spec asking
-        // for 8 step-threads still completes, stepping sequentially, and
-        // the outcome matches the plain runner bit for bit.
-        let pool = small_pool(1);
-        let threaded = spec(7, 2).with_options(EngineOptions::default().with_threads(8));
-        let mut handle = pool.submit(&threaded, SubmitOptions::default()).unwrap();
-        let outcome = handle.wait().unwrap();
-        assert_eq!(*outcome, Runner::with_threads(1).execute(&threaded));
-        let stats = outcome.round_stats.expect("fresh runs carry stats");
-        assert_eq!(stats.threads, 1, "no idle slots on a 1-worker pool");
-        pool.shutdown();
-
-        // With idle workers the job borrows them as step-threads (the
-        // claiming worker plus three borrowed slots) and the outcome is
-        // still identical.
-        let pool = small_pool(4);
-        let mut handle = pool.submit(&threaded, SubmitOptions::default()).unwrap();
-        let outcome = handle.wait().unwrap();
-        assert_eq!(*outcome, Runner::with_threads(1).execute(&threaded));
-        let stats = outcome.round_stats.expect("fresh runs carry stats");
-        assert_eq!(stats.threads, 4, "1 claimed + 3 borrowed of 4 workers");
         pool.shutdown();
     }
 

@@ -22,7 +22,6 @@
 //!   simulator backend **and** of `ctori_tss::diffusion::spread_on`, which
 //!   is a thin wrapper over it.
 
-use crate::parallel::{band_ranges, run_bands};
 use ctori_topology::Adjacency;
 
 /// A round-stamped worklist of candidate vertices.
@@ -134,16 +133,9 @@ pub struct PackedFrontier {
     worklist: Worklist,
     flips: Vec<u32>,
     ones: usize,
-    /// Step-parallelism: vertex (full rounds) or candidate (frontier
-    /// rounds) ranges are chunked into this many bands.
-    threads: usize,
-    /// Reused per-band flip buffers; their band-order concatenation is
-    /// exactly the sequential flip order.
-    band_flips: Vec<Vec<u32>>,
-    /// Bands of the last step that ran the full sweep.
-    last_dense_bands: u32,
-    /// Bands of the last step that walked the candidate list.
-    last_sparse_bands: u32,
+    /// Whether the last step ran the full sweep rather than walking the
+    /// candidate list.
+    last_full: bool,
     /// Vertices evaluated by the last step.
     last_cells_evaluated: u64,
 }
@@ -165,32 +157,16 @@ impl PackedFrontier {
             worklist: Worklist::new(node_count),
             flips: Vec::new(),
             ones: 0,
-            threads: 1,
-            band_flips: Vec::new(),
-            last_dense_bands: 0,
-            last_sparse_bands: 0,
+            last_full: false,
             last_cells_evaluated: 0,
         }
     }
 
-    /// `(dense bands, sparse bands, cells evaluated)` of the last step.
+    /// `(dense rounds, sparse rounds, cells evaluated)` of the last step:
+    /// exactly one of the first two is 1.
     pub(crate) fn last_step_profile(&self) -> (u32, u32, u64) {
-        (
-            self.last_dense_bands,
-            self.last_sparse_bands,
-            self.last_cells_evaluated,
-        )
-    }
-
-    /// Sets the number of band workers [`PackedFrontier::step`] uses.
-    ///
-    /// Values are clamped to at least 1.  Workers evaluate word-aligned
-    /// vertex bands (full rounds) or candidate-list chunks (frontier
-    /// rounds) against the frozen pre-round words into band-local flip
-    /// buffers, whose band-order concatenation reproduces the sequential
-    /// flip order exactly — a pure throughput knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        let full = u32::from(self.last_full);
+        (full, 1 - full, self.last_cells_evaluated)
     }
 
     /// Number of vertices.
@@ -295,68 +271,23 @@ impl PackedFrontier {
         } else {
             self.worklist.candidates().len() as u64
         };
-        if self.threads == 1 {
-            (self.last_dense_bands, self.last_sparse_bands) = if full { (1, 0) } else { (0, 1) };
-            // Sequential fast path: evaluate straight into `flips`, no
-            // band bookkeeping.  The worklist's candidate list is read
-            // while `evaluate` only touches the packed words, so iterate
-            // by index to keep the borrows disjoint.
-            if full {
-                for v in 0..self.len as u32 {
-                    if self.evaluate(adjacency, v) {
-                        self.flips.push(v);
-                    }
-                }
-            } else {
-                for i in 0..self.worklist.candidates().len() {
-                    let v = self.worklist.candidates()[i];
-                    if self.evaluate(adjacency, v) {
-                        self.flips.push(v);
-                    }
+        self.last_full = full;
+        // The worklist's candidate list is read while `evaluate` only
+        // touches the packed words, so iterate by index to keep the
+        // borrows disjoint.
+        if full {
+            for v in 0..self.len as u32 {
+                if self.evaluate(adjacency, v) {
+                    self.flips.push(v);
                 }
             }
         } else {
-            // Band-parallel evaluation against the frozen pre-round
-            // words: full rounds split the vertex range on word
-            // boundaries (popcount rows per band), frontier rounds chunk
-            // the candidate list.  Concatenating the band buffers in
-            // band order reproduces the sequential flip order exactly.
-            let ranges = if full {
-                band_ranges(self.len, self.threads, 64)
-            } else {
-                band_ranges(self.worklist.candidates().len(), self.threads, 1)
-            };
-            (self.last_dense_bands, self.last_sparse_bands) = if full {
-                (ranges.len() as u32, 0)
-            } else {
-                (0, ranges.len() as u32)
-            };
-            let mut band_flips = std::mem::take(&mut self.band_flips);
-            band_flips.resize_with(ranges.len(), Vec::new);
-            for buffer in &mut band_flips {
-                buffer.clear();
-            }
-            let lane = &*self;
-            run_bands(&ranges, &mut band_flips, |_band, start, end, out| {
-                if full {
-                    for v in start..end {
-                        let v = v as u32;
-                        if lane.evaluate(adjacency, v) {
-                            out.push(v);
-                        }
-                    }
-                } else {
-                    for &v in &lane.worklist.candidates()[start..end] {
-                        if lane.evaluate(adjacency, v) {
-                            out.push(v);
-                        }
-                    }
+            for i in 0..self.worklist.candidates().len() {
+                let v = self.worklist.candidates()[i];
+                if self.evaluate(adjacency, v) {
+                    self.flips.push(v);
                 }
-            });
-            for buffer in &band_flips {
-                self.flips.extend_from_slice(buffer);
             }
-            self.band_flips = band_flips;
         }
         // Apply after evaluating everything: synchronous semantics.
         for &v in &self.flips {
@@ -440,37 +371,6 @@ mod tests {
                 full.words(),
                 "states diverge at round {round}"
             );
-        }
-    }
-
-    #[test]
-    fn band_parallel_flip_order_matches_sequential() {
-        let t = toroidal_mesh(9, 11);
-        let adjacency = Adjacency::from_torus(&t);
-        let n = adjacency.node_count();
-        let build = || {
-            let mut lane = PackedFrontier::new(n, vec![2; n], vec![3; n]);
-            for v in [0, 5, 23, 24, 25, 36, 50, 51, 62, 80, 98] {
-                lane.set_one(v);
-            }
-            lane
-        };
-        for threads in [2, 3, 8] {
-            let mut seq = build();
-            let mut par = build();
-            par.set_threads(threads);
-            for round in 0..15 {
-                let a = seq.step(&adjacency);
-                let b = par.step(&adjacency);
-                assert_eq!(a, b, "threads={threads}: flip counts diverge at {round}");
-                assert_eq!(
-                    seq.flips(),
-                    par.flips(),
-                    "threads={threads}: flip order diverges at {round}"
-                );
-                assert_eq!(seq.words(), par.words());
-                assert_eq!(seq.ones(), par.ones());
-            }
         }
     }
 

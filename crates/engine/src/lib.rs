@@ -29,11 +29,9 @@
 //! * [`metrics`] — per-round colour histograms and the step-timing /
 //!   lane-choice counters behind `round-stats:` reporting;
 //! * [`sweep`] — parallel parameter sweeps over many simulations using
-//!   `std::thread::scope` workers with lock-free result collection;
-//! * [`parallel`] — band-parallel stepping *inside* one round: the word
-//!   grid is split into tile-aligned row bands evaluated by scoped
-//!   workers, with a per-band dense/sparse hybrid crossover; results are
-//!   bit-identical to single-threaded stepping at every thread count.
+//!   `std::thread::scope` workers with lock-free result collection; this
+//!   is the engine's only parallelism, and each simulation steps
+//!   sequentially on the thread that runs it.
 //!
 //! # The declarative execution API
 //!
@@ -105,7 +103,6 @@ pub mod metrics;
 #[cfg(feature = "naive-baseline")]
 pub mod naive;
 pub mod observe;
-pub mod parallel;
 pub mod planes;
 pub mod runner;
 pub mod simulator;
@@ -123,7 +120,6 @@ pub use exec::{
 pub use frontier::PackedFrontier;
 pub use metrics::{round_histogram, ColorHistogram, RoundStats, StepStats};
 pub use observe::{HistogramObserver, NullObserver, Observer, StepView, TraceObserver};
-pub use parallel::{band_ranges, run_bands};
 pub use planes::PlaneLane;
 pub use runner::{OutcomeParseError, RunOutcome, Runner};
 pub use simulator::{RunConfig, RunReport, Simulator, StepReport, Termination};

@@ -14,26 +14,27 @@ use ctori_protocols::LocalRule;
 
 /// Cumulative step-profiling counters, maintained by the simulator.
 ///
-/// Every [`crate::Simulator::step`] adds one round and the band-level
-/// decisions its lane made: how many row bands ran the full dense sweep,
-/// how many walked the sparse worklist, and how many vertex evaluations
-/// those choices cost.  Lanes without band scheduling (the generic
-/// frontier without step-parallelism) count one band per round.
+/// Every [`crate::Simulator::step`] adds one round and the hybrid
+/// decision its lane made: whether the round ran the full dense sweep or
+/// walked the sparse worklist, and how many vertex evaluations that cost.
+/// The field names keep the word "band" from when a round could be split
+/// into row bands; today every round is one band over the whole grid, so
+/// `dense_bands + sparse_bands == rounds`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Rounds executed.
     pub rounds: u64,
-    /// Bands that ran the full (dense, tiled) sweep.
+    /// Rounds that ran the full (dense, tiled) sweep.
     pub dense_bands: u64,
-    /// Bands that walked the sparse worklist path.
+    /// Rounds that walked the sparse worklist path.
     pub sparse_bands: u64,
-    /// Vertices evaluated across all rounds and bands.
+    /// Vertices evaluated across all rounds.
     pub cells_evaluated: u64,
     /// Nanoseconds spent evaluating vertex updates (lane stepping or the
     /// generic frontier sweep).
     pub evaluate_nanos: u64,
-    /// Nanoseconds spent merging band results (buffer concatenation and
-    /// the configuration-hash fold); zero for lane rounds, which have no
+    /// Nanoseconds spent merging the round's changes (the
+    /// configuration-hash fold); zero for lane rounds, which have no
     /// separate merge phase.
     pub merge_nanos: u64,
     /// Nanoseconds spent applying the merged changes (colour writes,
@@ -43,7 +44,7 @@ pub struct StepStats {
 }
 
 impl StepStats {
-    /// Folds one round's band profile into the totals.
+    /// Folds one round's dense/sparse profile into the totals.
     pub fn record_round(&mut self, dense_bands: u32, sparse_bands: u32, cells_evaluated: u64) {
         self.rounds += 1;
         self.dense_bands += u64::from(dense_bands);
@@ -64,20 +65,21 @@ impl StepStats {
 ///
 /// This is pure observability: it is excluded from
 /// [`crate::RunOutcome`] equality and from the spec's canonical key, and
-/// parsing tolerates its absence, because its values (thread count,
-/// wall-clock nanoseconds, band decisions) vary run to run while the
+/// parsing tolerates its absence, because its values (wall-clock
+/// nanoseconds, dense/sparse decisions) vary run to run while the
 /// simulation result does not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundStats {
     /// Rounds executed.
     pub rounds: u64,
-    /// Bands that ran the full (dense, tiled) sweep.
+    /// Rounds that ran the full (dense, tiled) sweep.
     pub dense_bands: u64,
-    /// Bands that walked the sparse worklist path.
+    /// Rounds that walked the sparse worklist path.
     pub sparse_bands: u64,
-    /// Vertices evaluated across all rounds and bands.
+    /// Vertices evaluated across all rounds.
     pub cells_evaluated: u64,
-    /// Step-parallelism the run executed with.
+    /// Threads that stepped the run: always 1, because every lane steps
+    /// sequentially.  Kept so the `round-stats:` text form stays stable.
     pub threads: u64,
     /// Wall-clock nanoseconds spent inside the run.
     pub nanos: u64,
@@ -229,16 +231,16 @@ mod tests {
     #[test]
     fn step_stats_accumulate() {
         let mut stats = StepStats::default();
-        stats.record_round(4, 0, 1_000_000);
-        stats.record_round(1, 3, 250_000);
+        stats.record_round(1, 0, 1_000_000);
+        stats.record_round(0, 1, 250_000);
         stats.record_phases(700, 0, 0);
         stats.record_phases(300, 40, 60);
         assert_eq!(
             stats,
             StepStats {
                 rounds: 2,
-                dense_bands: 5,
-                sparse_bands: 3,
+                dense_bands: 1,
+                sparse_bands: 1,
                 cells_evaluated: 1_250_000,
                 evaluate_nanos: 1_000,
                 merge_nanos: 40,

@@ -61,7 +61,6 @@
 //! evaluated), so traversal order never affects results.
 
 use crate::frontier::Worklist;
-use crate::parallel::{band_ranges, run_bands};
 use ctori_coloring::Color;
 use ctori_protocols::{ColorCountForm, ColorCountRule};
 use ctori_topology::Adjacency;
@@ -119,19 +118,19 @@ struct Patch {
     new: [u64; MAX_PLANES],
 }
 
-/// A band worker's running summary of the patches it produced, computed
-/// while the patch words are still in registers so the sequential apply
-/// phase has nothing left to count (see [`PlaneLane::step`]).
+/// The running summary of a round's patches, computed while the patch
+/// words are still in registers so the apply phase has nothing left to
+/// count (see [`PlaneLane::step`]).
 #[derive(Clone, Copy, Debug, Default)]
-struct BandDelta {
-    /// Vertices changed in this band.
+struct RoundDelta {
+    /// Vertices changed this round.
     flips: usize,
     /// Signed per-code census movement (codes partition the changed
     /// bits, so indicator popcounts over old/new words are exact).
     census: [i64; MAX_PALETTE],
 }
 
-impl BandDelta {
+impl RoundDelta {
     /// Folds one patch into the summary.
     #[inline]
     fn account(&mut self, patch: &Patch, plane_count: usize, k: usize) {
@@ -224,23 +223,11 @@ pub struct PlaneLane {
     decision: Decision,
     locked_code: Option<u8>,
     worklist: Worklist,
-    /// Per-band double buffers of the last step's patches (band workers
-    /// write their own vector; the concatenation in band order is the
-    /// sequential patch stream).
-    band_patches: Vec<Vec<Patch>>,
-    /// Reused per-band candidate buckets for sparse rounds.
-    band_cands: Vec<Vec<u32>>,
-    /// Requested step-parallelism (row-band workers per round).
-    threads: usize,
-    /// The thread count `band_plan` was computed for; `0` forces a
-    /// replan on the next step.
-    planned_threads: usize,
-    /// Contiguous word ranges, one per band, tile-row aligned.
-    band_plan: Vec<(usize, usize)>,
-    /// Bands that ran the full tiled sweep last step.
-    last_dense_bands: u32,
-    /// Bands that ran the worklist path last step.
-    last_sparse_bands: u32,
+    /// The last step's patches, at most one per word.
+    patches: Vec<Patch>,
+    /// Whether the last step ran the full tiled sweep rather than the
+    /// worklist path.
+    last_dense: bool,
     /// Vertices examined last step (64 per evaluated word).
     last_cells_evaluated: u64,
     /// Number of vertices changed by the last step.
@@ -405,13 +392,8 @@ impl PlaneLane {
             decision,
             locked_code,
             worklist: Worklist::new(words),
-            band_patches: Vec::new(),
-            band_cands: Vec::new(),
-            threads: 1,
-            planned_threads: 0,
-            band_plan: Vec::new(),
-            last_dense_bands: 0,
-            last_sparse_bands: 0,
+            patches: Vec::new(),
+            last_dense: false,
             last_cells_evaluated: 0,
             flipped: 0,
         })
@@ -485,7 +467,7 @@ impl PlaneLane {
     /// so the hot apply loop never materialises per-flip tuples.
     pub fn flips(&self) -> impl Iterator<Item = (u32, Color, Color)> + '_ {
         let pc = self.plane_count;
-        self.band_patches.iter().flatten().flat_map(move |patch| {
+        self.patches.iter().flat_map(move |patch| {
             let base = patch.word as usize * 64;
             let mut mask = patch.changed;
             std::iter::from_fn(move || {
@@ -519,43 +501,12 @@ impl PlaneLane {
         self.worklist.set_always_full();
     }
 
-    /// Sets the number of row-band workers [`PlaneLane::step`] uses.
-    ///
-    /// Values are clamped to at least 1; the number of bands actually
-    /// spawned is further bounded by how many tile-row-aligned bands the
-    /// grid supports.  Results are bit-identical for every thread count
-    /// (evaluation reads only the frozen pre-round planes and writes
-    /// band-local buffers), so this is a pure throughput knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// `(dense bands, sparse bands, cells evaluated)` of the last step —
-    /// the hybrid crossover's per-round decision record.
+    /// `(dense rounds, sparse rounds, cells evaluated)` of the last step —
+    /// the hybrid crossover's per-round decision record: exactly one of
+    /// the first two is 1.
     pub(crate) fn last_step_profile(&self) -> (u32, u32, u64) {
-        (
-            self.last_dense_bands,
-            self.last_sparse_bands,
-            self.last_cells_evaluated,
-        )
-    }
-
-    /// Recomputes the band partition when the thread count changed.
-    fn ensure_plan(&mut self) {
-        if self.planned_threads == self.threads {
-            return;
-        }
-        // Align band starts to whole tile rows so each band's full sweep
-        // keeps the cache-tiled traversal intact.
-        let align = match self.tile_geometry {
-            Some((_, words_per_row)) => words_per_row * TILE_ROWS,
-            None => 1,
-        };
-        self.band_plan = band_ranges(self.words, self.threads, align);
-        let bands = self.band_plan.len();
-        self.band_patches.resize_with(bands, Vec::new);
-        self.band_cands.resize_with(bands, Vec::new);
-        self.planned_threads = self.threads;
+        let dense = u32::from(self.last_dense);
+        (dense, 1 - dense, self.last_cells_evaluated)
     }
 
     /// The current code of vertex `v` (its colour's palette position).
@@ -812,31 +763,16 @@ impl PlaneLane {
         }
     }
 
-    /// The full tiled sweep over one band's word range, accumulating
-    /// patches and their census/flip summary band-locally.
-    ///
-    /// Tiling applies when the range covers whole torus rows (band
-    /// alignment guarantees it on tiled grids); otherwise the range
-    /// streams in linear word order.
-    fn eval_dense_range(
-        &self,
-        adjacency: &Adjacency,
-        start_w: usize,
-        end_w: usize,
-        out: &mut Vec<Patch>,
-        delta: &mut BandDelta,
-    ) {
+    /// The full sweep over every word, in cache tiles when the torus rows
+    /// are word-aligned and in linear word order otherwise.
+    fn eval_dense(&self, adjacency: &Adjacency, out: &mut Vec<Patch>, delta: &mut RoundDelta) {
         let pc = self.plane_count;
         let k = self.palette.len();
         match self.tile_geometry {
-            Some((_, words_per_row))
-                if start_w.is_multiple_of(words_per_row) && end_w.is_multiple_of(words_per_row) =>
-            {
-                let row0 = start_w / words_per_row;
-                let row1 = end_w / words_per_row;
-                for tile_row in (row0..row1).step_by(TILE_ROWS) {
+            Some((rows, words_per_row)) => {
+                for tile_row in (0..rows).step_by(TILE_ROWS) {
                     for tile_col in (0..words_per_row).step_by(TILE_WORD_COLS) {
-                        for r in tile_row..(tile_row + TILE_ROWS).min(row1) {
+                        for r in tile_row..(tile_row + TILE_ROWS).min(rows) {
                             for wc in tile_col..(tile_col + TILE_WORD_COLS).min(words_per_row) {
                                 let w = (r * words_per_row + wc) as u32;
                                 if let Some(p) = self.eval_word(adjacency, w) {
@@ -848,9 +784,9 @@ impl PlaneLane {
                     }
                 }
             }
-            _ => {
-                for w in start_w..end_w {
-                    if let Some(p) = self.eval_word(adjacency, w as u32) {
+            None => {
+                for w in 0..self.words as u32 {
+                    if let Some(p) = self.eval_word(adjacency, w) {
                         delta.account(&p, pc, k);
                         out.push(p);
                     }
@@ -859,17 +795,11 @@ impl PlaneLane {
         }
     }
 
-    /// The worklist path over one band's candidate bucket.
-    fn eval_candidates(
-        &self,
-        adjacency: &Adjacency,
-        cands: &[u32],
-        out: &mut Vec<Patch>,
-        delta: &mut BandDelta,
-    ) {
+    /// The worklist path over the round's candidate words.
+    fn eval_candidates(&self, adjacency: &Adjacency, out: &mut Vec<Patch>, delta: &mut RoundDelta) {
         let pc = self.plane_count;
         let k = self.palette.len();
-        for &w in cands {
+        for &w in self.worklist.candidates() {
             if let Some(p) = self.eval_word(adjacency, w) {
                 delta.account(&p, pc, k);
                 out.push(p);
@@ -882,120 +812,61 @@ impl PlaneLane {
     ///
     /// The first round after construction evaluates every word; later
     /// rounds evaluate only the dirty words (words holding last round's
-    /// flips or their neighbours).  Evaluation is partitioned into
-    /// tile-aligned row bands (one worker each, see [`crate::parallel`])
-    /// and each band independently chooses dense or sparse execution: a
-    /// band whose candidate bucket covers ≳62.5 % of its words re-runs
-    /// the full tiled sweep instead of chasing the worklist, which is
-    /// exact because a word absent from the worklist cannot change (its
-    /// evaluation is a no-op), so the dense superset yields the identical
-    /// patch set.  Changes are available through [`PlaneLane::flips`]
-    /// until the next step.
+    /// flips or their neighbours).  Each round chooses dense or sparse
+    /// execution: once the candidate list covers ≳62.5 % of the words,
+    /// the round re-runs the full tiled sweep instead of chasing the
+    /// worklist, which is exact because a word absent from the worklist
+    /// cannot change (its evaluation is a no-op), so the dense superset
+    /// yields the identical patch set.  Changes are available through
+    /// [`PlaneLane::flips`] until the next step.
     pub fn step(&mut self, adjacency: &Adjacency) -> usize {
         assert_eq!(
             adjacency.node_count(),
             self.len,
             "adjacency does not match the lane"
         );
-        self.ensure_plan();
-        self.flipped = 0;
-        let full = self.worklist.is_full_round();
-        let bands = self.band_plan.len();
+        let candidates = self.worklist.candidates().len();
+        // The hybrid dense/sparse crossover: the worklist path costs
+        // roughly a per-candidate dispatch that the tiled sweep amortises
+        // away, so once the candidates pass ~5/8 of the words the full
+        // sweep is cheaper (calibrated on the BENCH_6 scatter workloads,
+        // where near-full candidate lists made sparse k=8 rounds pay the
+        // 3-plane gather tax word by word).
+        let dense = self.worklist.is_full_round() || candidates * 8 >= self.words * 5;
 
-        // Bucket the candidate words by owning band (bands are contiguous
-        // and start at 0, so a binary search over starts places each).
-        let mut band_cands = std::mem::take(&mut self.band_cands);
-        for bucket in &mut band_cands {
-            bucket.clear();
-        }
-        if !full {
-            if bands == 1 {
-                band_cands[0].extend_from_slice(self.worklist.candidates());
-            } else {
-                for &w in self.worklist.candidates() {
-                    let band = self
-                        .band_plan
-                        .partition_point(|&(start, _)| start <= w as usize)
-                        - 1;
-                    band_cands[band].push(w);
-                }
-            }
+        // Evaluate against the frozen pre-round planes.
+        let mut patches = std::mem::take(&mut self.patches);
+        patches.clear();
+        let mut delta = RoundDelta::default();
+        if dense {
+            self.eval_dense(adjacency, &mut patches, &mut delta);
+        } else {
+            self.eval_candidates(adjacency, &mut patches, &mut delta);
         }
 
-        // The hybrid dense/sparse crossover, per band: the worklist path
-        // costs roughly a per-candidate dispatch that the tiled sweep
-        // amortises away, so once a band's bucket passes ~5/8 of its
-        // words the full sweep is cheaper (calibrated on the BENCH_6
-        // scatter workloads, where near-full buckets made sparse k=8
-        // rounds pay the 3-plane gather tax word by word).
-        let dense: Vec<bool> = self
-            .band_plan
-            .iter()
-            .enumerate()
-            .map(|(b, &(start, end))| full || band_cands[b].len() * 8 >= (end - start) * 5)
-            .collect();
-
-        // Evaluate all bands against the frozen pre-round planes; each
-        // worker owns one patch buffer and returns its census/flip
-        // summary.  `run_bands` is the barrier that publishes the round.
-        let mut band_patches = std::mem::take(&mut self.band_patches);
-        for buffer in &mut band_patches {
-            buffer.clear();
+        // Apply: flips and census movement are already counted, so only
+        // the new plane words are written (each word has at most one
+        // patch, so order is irrelevant).
+        self.flipped = delta.flips;
+        for (slot, &moved) in self.census.iter_mut().zip(&delta.census) {
+            *slot = (*slot as i64 + moved) as usize;
         }
-        let lane = &*self;
-        let deltas = run_bands(
-            &lane.band_plan,
-            &mut band_patches,
-            |band, start, end, out| {
-                let mut delta = BandDelta::default();
-                if dense[band] {
-                    lane.eval_dense_range(adjacency, start, end, out, &mut delta);
-                } else {
-                    lane.eval_candidates(adjacency, &band_cands[band], out, &mut delta);
-                }
-                delta
-            },
-        );
-
-        // Merge phase: the workers already counted flips and census
-        // movement, so the sequential section only writes the new plane
-        // words and marks the worklist — order across bands is
-        // irrelevant (each word has at most one patch).
-        for delta in &deltas {
-            self.flipped += delta.flips;
-            for (slot, &moved) in self.census.iter_mut().zip(&delta.census) {
-                *slot = (*slot as i64 + moved) as usize;
-            }
-        }
-        for patch in band_patches.iter().flatten() {
+        for patch in &patches {
             let wi = patch.word as usize;
             for (p, plane) in self.planes.iter_mut().enumerate() {
                 plane[wi] = patch.new[p];
             }
         }
-
-        self.last_dense_bands = 0;
-        self.last_sparse_bands = 0;
-        let mut words_evaluated = 0u64;
-        for (b, &(start, end)) in self.band_plan.iter().enumerate() {
-            if dense[b] {
-                self.last_dense_bands += 1;
-                words_evaluated += (end - start) as u64;
-            } else {
-                self.last_sparse_bands += 1;
-                words_evaluated += band_cands[b].len() as u64;
-            }
-        }
-        self.last_cells_evaluated = words_evaluated * 64;
-        self.band_patches = band_patches;
-        self.band_cands = band_cands;
+        self.last_dense = dense;
+        self.last_cells_evaluated = if dense { self.words } else { candidates } as u64 * 64;
+        self.patches = patches;
 
         self.worklist.begin_next();
         if !self.worklist.always_full() {
             // Word-granular propagation: a changed word dirties itself and
             // the handful of words holding neighbours of its vertices
             // (a safe superset of the per-flip marks, with no CSR walk).
-            for patch in self.band_patches.iter().flatten() {
+            for patch in &self.patches {
                 let w = patch.word;
                 self.worklist.mark(w);
                 let from = self.mark_offsets[w as usize] as usize;
@@ -1168,39 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn band_parallel_stepping_is_bit_identical() {
-        // 128 columns → 2 words per row, 12 rows: with threads=3 the
-        // tile-row alignment still splits the grid, and the frontier
-        // worklist shrinks over time so later rounds cross the hybrid
-        // dense→sparse threshold per band.
-        for kind in TorusKind::ALL {
-            let torus = Torus::new(kind, 12, 128);
-            let adjacency = Adjacency::from_torus(&torus);
-            let colors = scatter_colors(12 * 128, 5, 0xBAD5EED);
-            let rule = ColorCountRule::plurality(2);
-            let mut seq = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
-            let mut par = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
-            par.set_threads(3);
-            for round in 0..16 {
-                let a = seq.step(&adjacency);
-                let b = par.step(&adjacency);
-                assert_eq!(a, b, "{kind:?}: flip counts diverge at round {round}");
-                assert_eq!(
-                    seq.snapshot(),
-                    par.snapshot(),
-                    "{kind:?}: states diverge at round {round}"
-                );
-                let mut sf: Vec<_> = seq.flips().collect();
-                let mut pf: Vec<_> = par.flips().collect();
-                sf.sort_unstable();
-                pf.sort_unstable();
-                assert_eq!(sf, pf, "{kind:?}: flip sets diverge at round {round}");
-                assert_eq!(seq.histogram(), par.histogram());
-            }
-        }
-    }
-
-    #[test]
     fn hybrid_dense_rounds_match_the_sparse_path() {
         // A quiescing pattern: one active block in a monochrome sea.  The
         // first frontier rounds are near-full (dense crossover fires),
@@ -1215,7 +1053,6 @@ mod tests {
         }
         let rule = ColorCountRule::plurality(2);
         let mut hybrid = PlaneLane::from_colors(&adjacency, 64, &colors, &rule).unwrap();
-        hybrid.set_threads(2);
         let mut full = PlaneLane::from_colors(&adjacency, 64, &colors, &rule).unwrap();
         full.set_always_full();
         let mut saw_dense = false;
@@ -1226,7 +1063,7 @@ mod tests {
             assert_eq!(a, b, "flip counts diverge at round {round}");
             assert_eq!(hybrid.snapshot(), full.snapshot());
             let (dense, sparse, cells) = hybrid.last_step_profile();
-            assert_eq!((dense + sparse) as usize, hybrid.band_plan.len());
+            assert_eq!(dense + sparse, 1, "one decision per round");
             assert!(cells <= (hybrid.words as u64) * 64);
             saw_dense |= dense > 0;
             saw_sparse |= sparse > 0;

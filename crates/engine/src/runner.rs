@@ -126,17 +126,17 @@ pub struct RunOutcome {
     pub used_packed_lane: bool,
     /// Whether the multi-colour bit-plane lane drove the run.
     pub used_plane_lane: bool,
-    /// Timed step profile of the run (thread count, dense/sparse band
-    /// decisions, Gcell/s).  Pure observability: excluded from equality
+    /// Timed step profile of the run (dense/sparse decisions, cells
+    /// evaluated, wall-clock).  Pure observability: excluded from equality
     /// and absent from outcomes produced by engines predating it.
     pub round_stats: Option<RoundStats>,
 }
 
 impl PartialEq for RunOutcome {
     /// Equality ignores [`RunOutcome::round_stats`]: the stats record
-    /// *how* a run executed (threads, wall-clock, band decisions), not
+    /// *how* a run executed (wall-clock, dense/sparse decisions), not
     /// what it computed, so outcomes of the same spec compare equal
-    /// across thread counts, machines and cache hits.
+    /// across machines and cache hits.
     fn eq(&self, other: &Self) -> bool {
         self.rule == other.rule
             && self.termination == other.termination
@@ -455,8 +455,6 @@ impl Runner {
         let rule = spec.rule.resolve();
         let config = spec.options.run_config();
         let mut sim = build_simulator(spec, rule);
-        let step_threads = self.resolve_step_threads(spec, sim.adjacency().node_count());
-        sim.set_step_threads(step_threads);
         observer.on_start(&sim.view());
         // Deliberate timing code: the outcome reports total run time.
         #[allow(clippy::disallowed_methods)]
@@ -479,7 +477,7 @@ impl Runner {
                 dense_bands: stats.dense_bands,
                 sparse_bands: stats.sparse_bands,
                 cells_evaluated: stats.cells_evaluated,
-                threads: step_threads as u64,
+                threads: 1,
                 nanos,
             }),
         };
@@ -487,61 +485,32 @@ impl Runner {
         outcome
     }
 
-    /// Resolves one scenario's intra-run step-parallelism.
-    ///
-    /// The runner's own thread budget is a **hard cap** — an executor
-    /// pool grants each job a budget via [`Runner::with_threads`], and a
-    /// spec cannot exceed it.  An explicit spec `threads=N` is clamped to
-    /// the budget; `threads=auto` (`0`) spends the whole budget only when
-    /// the grid is large enough to amortise the per-round band barrier
-    /// (below ~2¹⁸ cells a single worker wins).  Step-parallelism never
-    /// affects the outcome, only the wall clock.
-    fn resolve_step_threads(&self, spec: &RunSpec, cells: usize) -> usize {
-        /// Below this many cells, `threads=auto` stays sequential.
-        const STEP_PARALLEL_FLOOR_CELLS: usize = 1 << 18;
-        match spec.options.threads {
-            0 => {
-                if cells >= STEP_PARALLEL_FLOOR_CELLS {
-                    self.threads
-                } else {
-                    1
-                }
-            }
-            explicit => explicit.min(self.threads),
-        }
-    }
-
     /// Executes a batch of scenarios in parallel, preserving input order.
     ///
     /// The specs fan out over the engine's work-stealing sweep pool
     /// ([`crate::sweep::parallel_map`]); each scenario runs independently
     /// on one worker, so a grid of small runs scales with the thread
-    /// budget.  Outer parallelism wins: each worker executes its run
-    /// **sequentially** (step-parallelism forced to 1, whatever the spec
-    /// says), because the batch already occupies the budget and nested
-    /// band workers would only oversubscribe the machine.  Accepts any
-    /// owned iterable (`Vec`, a `map` chain, …); callers holding a grid
+    /// budget.  Accepts any owned iterable (`Vec`, a `map` chain, …); callers holding a grid
     /// they want to keep use [`Runner::sweep_refs`] and clone nothing.
     pub fn sweep<I>(&self, specs: I) -> Vec<RunOutcome>
     where
         I: IntoIterator<Item = RunSpec>,
     {
-        let sequential = Runner::with_threads(1);
+        let runner = *self;
         parallel_map(specs.into_iter().collect(), self.threads, move |spec| {
-            sequential.execute(spec)
+            runner.execute(spec)
         })
     }
 
     /// As [`Runner::sweep`], but borrows the grid — no spec is cloned or
     /// consumed, so a caller can sweep the same grid repeatedly (the
-    /// benchmark harness does exactly that).  Like [`Runner::sweep`],
-    /// each run executes sequentially: outer parallelism wins.
+    /// benchmark harness does exactly that).
     pub fn sweep_refs(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
-        let sequential = Runner::with_threads(1);
+        let runner = *self;
         parallel_map(
             specs.iter().collect(),
             self.threads,
-            move |spec: &&RunSpec| sequential.execute(spec),
+            move |spec: &&RunSpec| runner.execute(spec),
         )
     }
 }
@@ -836,27 +805,6 @@ mod tests {
             Err(OutcomeParseError::BadValue { field, .. }) => assert_eq!(field, "round-stats"),
             other => panic!("expected BadValue, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn step_threads_change_the_profile_not_the_outcome() {
-        let spec = absorbing_spec();
-        let mut threaded = spec.clone();
-        threaded.options = threaded.options.with_threads(8);
-        assert_eq!(
-            spec.canonical_key(),
-            threaded.canonical_key(),
-            "threads stay out of the canonical key"
-        );
-        let seq = Runner::with_threads(1).execute(&spec);
-        let par = Runner::with_threads(8).execute(&threaded);
-        assert_eq!(par, seq, "outcome equality across thread counts");
-        assert_eq!(par.round_stats.unwrap().threads, 8);
-        assert_eq!(seq.round_stats.unwrap().threads, 1);
-        // A pool-granted budget of 1 caps even an explicit threads=8.
-        let capped = Runner::with_threads(1).execute(&threaded);
-        assert_eq!(capped.round_stats.unwrap().threads, 1);
-        assert_eq!(capped, seq);
     }
 
     #[test]

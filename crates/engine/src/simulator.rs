@@ -15,7 +15,6 @@
 use crate::frontier::{PackedFrontier, Worklist};
 use crate::metrics::StepStats;
 use crate::observe::StepView;
-use crate::parallel::{band_ranges, run_bands};
 use crate::planes::PlaneLane;
 use crate::state::{ColorCensus, StateVec};
 use crate::telemetry::clock::monotonic_nanos;
@@ -234,13 +233,7 @@ pub struct Simulator<R> {
     hash: u64,
     hash_live: bool,
     degenerate_hash: bool,
-    /// Intra-round band parallelism (see [`crate::parallel`]); forwarded
-    /// to whichever lane is active.
-    step_threads: usize,
-    /// Reused per-band change buffers of the generic lane's parallel
-    /// evaluation.
-    band_changes: Vec<Vec<(u32, Color, Color)>>,
-    /// Cumulative per-round profile (rounds, band decisions, cells).
+    /// Cumulative per-round profile (rounds, dense/sparse decisions, cells).
     stats: StepStats,
 }
 
@@ -327,8 +320,6 @@ impl<R: LocalRule> Simulator<R> {
             hash: 0,
             hash_live: false,
             degenerate_hash: false,
-            step_threads: 1,
-            band_changes: Vec::new(),
             stats: StepStats::default(),
         };
         if full_sweep {
@@ -478,7 +469,6 @@ impl<R: LocalRule> Simulator<R> {
                 if self.full_sweep {
                     lane.set_always_full();
                 }
-                lane.set_threads(self.step_threads);
                 self.worklist = Worklist::new(0);
                 self.state = StateVec::Planes { lane };
             }
@@ -486,33 +476,7 @@ impl<R: LocalRule> Simulator<R> {
         self
     }
 
-    /// Sets the intra-round band parallelism: every step partitions its
-    /// work into up to `threads` row bands evaluated by scoped workers
-    /// (see [`crate::parallel`]).  Values are clamped to at least 1.
-    /// Results are bit-identical at every thread count, so this is a pure
-    /// throughput knob; it may be changed at any point, including
-    /// mid-run.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.step_threads = threads.max(1);
-        match &mut self.state {
-            StateVec::Packed { lane, .. } => lane.set_threads(self.step_threads),
-            StateVec::Planes { lane } => lane.set_threads(self.step_threads),
-            StateVec::Generic { .. } => {}
-        }
-    }
-
-    /// Builder form of [`Simulator::set_step_threads`].
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        self.set_step_threads(threads);
-        self
-    }
-
-    /// The configured intra-round band parallelism.
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// The cumulative step profile: rounds executed, dense vs sparse band
+    /// The cumulative step profile: rounds executed, dense vs sparse
     /// decisions of the hybrid crossover, and vertices evaluated.
     pub fn step_stats(&self) -> StepStats {
         self.stats
@@ -619,8 +583,7 @@ impl<R: LocalRule> Simulator<R> {
     /// are evaluated — unless the full-sweep fallback is active, or the
     /// hybrid crossover decides a near-full candidate set is cheaper to
     /// re-sweep densely.  Results are identical either way for local
-    /// rules, and bit-identical at every
-    /// [`Simulator::set_step_threads`] setting.
+    /// rules.
     pub fn step(&mut self) -> StepReport {
         let mut generic_profile = (0u32, 0u32, 0u64);
         let step_start = monotonic_nanos();
@@ -670,100 +633,41 @@ impl<R: LocalRule> Simulator<R> {
                 } else {
                     (0, 1, self.worklist.candidates().len() as u64)
                 };
-                let evaluate_done;
-                if self.step_threads == 1 {
-                    if dense {
-                        for v in 0..len {
-                            let own = colors[v];
-                            let new = eval_one(
-                                &self.rule,
-                                &self.adjacency,
-                                self.regular4,
-                                colors,
-                                &mut self.scratch,
-                                v,
-                            );
-                            if new != own {
-                                self.changes.push((v as u32, own, new));
-                            }
-                        }
-                    } else {
-                        for i in 0..self.worklist.candidates().len() {
-                            let v = self.worklist.candidates()[i] as usize;
-                            let own = colors[v];
-                            let new = eval_one(
-                                &self.rule,
-                                &self.adjacency,
-                                self.regular4,
-                                colors,
-                                &mut self.scratch,
-                                v,
-                            );
-                            if new != own {
-                                self.changes.push((v as u32, own, new));
-                            }
+                if dense {
+                    for v in 0..len {
+                        let own = colors[v];
+                        let new = eval_one(
+                            &self.rule,
+                            &self.adjacency,
+                            self.regular4,
+                            colors,
+                            &mut self.scratch,
+                            v,
+                        );
+                        if new != own {
+                            self.changes.push((v as u32, own, new));
                         }
                     }
-                    evaluate_done = monotonic_nanos();
                 } else {
-                    // Band-parallel evaluation against the frozen
-                    // pre-round colours: dense rounds split the vertex
-                    // range, sparse rounds chunk the candidate list (the
-                    // round-stamped dedup already ran when the list was
-                    // built, so chunks are disjoint by construction).
-                    // Band-order concatenation reproduces the sequential
-                    // change order exactly.
-                    let ranges = if dense {
-                        band_ranges(len, self.step_threads, 64)
-                    } else {
-                        band_ranges(self.worklist.candidates().len(), self.step_threads, 1)
-                    };
-                    generic_profile = if dense {
-                        (ranges.len() as u32, 0, len as u64)
-                    } else {
-                        (0, ranges.len() as u32, generic_profile.2)
-                    };
-                    let mut band_changes = std::mem::take(&mut self.band_changes);
-                    band_changes.resize_with(ranges.len(), Vec::new);
-                    for buffer in &mut band_changes {
-                        buffer.clear();
-                    }
-                    let rule = &self.rule;
-                    let adjacency = &self.adjacency;
-                    let regular4 = self.regular4;
-                    let worklist = &self.worklist;
-                    let colors_ref: &[Color] = colors;
-                    run_bands(&ranges, &mut band_changes, |_band, start, end, out| {
-                        // Per-band scratch: lazily allocated, and never
-                        // touched on the 4-regular tori.
-                        let mut scratch: Vec<Color> = Vec::new();
-                        let mut eval = |v: usize, out: &mut Vec<(u32, Color, Color)>| {
-                            let own = colors_ref[v];
-                            let new =
-                                eval_one(rule, adjacency, regular4, colors_ref, &mut scratch, v);
-                            if new != own {
-                                out.push((v as u32, own, new));
-                            }
-                        };
-                        if dense {
-                            for v in start..end {
-                                eval(v, out);
-                            }
-                        } else {
-                            for &v in &worklist.candidates()[start..end] {
-                                eval(v as usize, out);
-                            }
+                    for i in 0..self.worklist.candidates().len() {
+                        let v = self.worklist.candidates()[i] as usize;
+                        let own = colors[v];
+                        let new = eval_one(
+                            &self.rule,
+                            &self.adjacency,
+                            self.regular4,
+                            colors,
+                            &mut self.scratch,
+                            v,
+                        );
+                        if new != own {
+                            self.changes.push((v as u32, own, new));
                         }
-                    });
-                    evaluate_done = monotonic_nanos();
-                    for buffer in &band_changes {
-                        self.changes.extend_from_slice(buffer);
                     }
-                    self.band_changes = band_changes;
                 }
-                // Merge: band-order concatenation above plus the hash
-                // delta, which only reads the change tuples and so can
-                // fold before the colours move.
+                let evaluate_done = monotonic_nanos();
+                // Merge: the hash delta only reads the change tuples, so
+                // it folds before the colours move.
                 if self.hash_live {
                     for &(v, old, new) in &self.changes {
                         self.hash ^= zkey(v as usize, old) ^ zkey(v as usize, new);

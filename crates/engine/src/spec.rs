@@ -163,6 +163,12 @@ fn parse_color(raw: &str, section: &'static str) -> Result<Color, SpecParseError
 // TopologySpec
 // ---------------------------------------------------------------------------
 
+/// The largest topology a [`RunSpec`] may describe, in vertices (2²⁴: a
+/// 4096 × 4096 torus).  [`RunSpec::validate`] rejects anything larger, so
+/// a spec from an untrusted source cannot make the runner allocate
+/// without bound.
+pub const MAX_SPEC_NODES: usize = 1 << 24;
+
 /// A plain-data description of an interaction topology.
 ///
 /// Unifies the paper's three torus kinds with the general-graph substrate
@@ -882,24 +888,12 @@ pub struct EngineOptions {
     /// Hard cap on the number of rounds; `0` means automatic
     /// (`4·|V| + 16`).
     pub max_rounds: usize,
-    /// Thread budget for this scenario (`0` = automatic:
-    /// [`crate::sweep::default_threads`]).  Precedence, outermost first:
-    ///
-    /// 1. A batch sweep ([`crate::runner::Runner::sweep`]) spends the
-    ///    budget on whole runs and steps each run sequentially — outer
-    ///    parallelism wins.
-    /// 2. A single [`crate::runner::Runner::execute`] spends it *inside*
-    ///    the run as band-parallel stepping ([`crate::parallel`]),
-    ///    clamped to the runner's own budget; `auto` engages the full
-    ///    budget only on large grids (≥ 2¹⁸ cells).
-    /// 3. The worker pool ([`crate::exec::LocalExecutor`] and the
-    ///    simulation service) charges a job stepping with `T` threads as
-    ///    `T` pool slots (clamped to idle capacity) and resolves `auto`
-    ///    *pool-aware* — to `1`, because the pool is already saturated
-    ///    with whole jobs.
-    ///
-    /// Stepping is bit-identical at every thread count, so this knob
-    /// never affects an outcome and is excluded from
+    /// Batch thread budget (`0` = automatic:
+    /// [`crate::sweep::default_threads`]).  Its one role is the worker
+    /// count of `Runner::for_options(&options).sweep(grid)`
+    /// ([`crate::runner::Runner::for_options`]), which runs whole
+    /// scenarios side by side; every scenario itself steps sequentially.
+    /// It never affects an outcome, so it is excluded from
     /// [`RunSpec::canonical_key`].
     pub threads: usize,
     /// Sampling stride of the execution API's progress events: every
@@ -1037,7 +1031,6 @@ impl EngineOptions {
     /// keep their defaults).
     pub fn parse(text: &str) -> Result<Self, SpecParseError> {
         let mut options = EngineOptions::default();
-        let mut literal_zero_threads = false;
         for token in text.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
@@ -1076,11 +1069,9 @@ impl EngineOptions {
                     options.threads = if value == "auto" {
                         0
                     } else {
-                        let n: usize = value
+                        value
                             .parse()
-                            .map_err(|_| bad_options(format!("{value:?} is not a thread count")))?;
-                        literal_zero_threads = n == 0;
-                        n
+                            .map_err(|_| bad_options(format!("{value:?} is not a thread count")))?
                     }
                 }
                 "progress" => {
@@ -1108,15 +1099,6 @@ impl EngineOptions {
                 }
                 other => return Err(bad_options(format!("unknown option {other:?}"))),
             }
-        }
-        // A literal `threads=0` is almost always a typo for `threads=auto`;
-        // with the band-parallel plane lane forced it would silently pin
-        // the run the author asked to parallelise to one worker, so the
-        // combination is rejected rather than reinterpreted.
-        if literal_zero_threads && options.lane == LaneSpec::Planes {
-            return Err(bad_options(
-                "threads=0 with lane=planes: write threads=auto for the automatic budget",
-            ));
         }
         Ok(options)
     }
@@ -1350,9 +1332,10 @@ impl RunSpec {
     }
 
     /// Checks the structural constraints the builders would otherwise
-    /// assert at execution time: torus dimensions at least 2×2, graph edge
-    /// endpoints in range, seed-vertex indices in range, and explicit
-    /// configurations matching the topology's grid shape.
+    /// assert at execution time: torus dimensions at least 2×2, at most
+    /// [`MAX_SPEC_NODES`] vertices, graph edge endpoints in range,
+    /// seed-vertex indices in range, and explicit configurations matching
+    /// the topology's grid shape.
     ///
     /// [`RunSpec::from_text`] calls this automatically, so text from an
     /// untrusted source is rejected with a [`SpecParseError`] instead of
@@ -1409,7 +1392,22 @@ impl RunSpec {
                 }
             }
         }
-        let total = self.topology.node_count();
+        // Checked before anything multiplies the torus sides: an
+        // oversize grid would otherwise overflow `rows * cols` or abort
+        // the process on allocation, which no caller can recover from.
+        let total = match &self.topology {
+            TopologySpec::Torus { rows, cols, .. } => rows.checked_mul(*cols),
+            other => Some(other.node_count()),
+        };
+        let total = match total {
+            Some(total) if total <= MAX_SPEC_NODES => total,
+            _ => {
+                let (rows, cols) = self.topology.grid_dims();
+                return Err(bad_topology(format!(
+                    "{rows}x{cols} exceeds the limit of {MAX_SPEC_NODES} vertices"
+                )));
+            }
+        };
         match &self.seed {
             SeedSpec::Nodes { nodes, .. } => {
                 if let Some(&v) = nodes.iter().find(|&&v| v as usize >= total) {
@@ -1676,23 +1674,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_with_forced_plane_lane_is_rejected() {
-        // Order of the keys must not matter: the check runs after parsing.
-        for text in ["lane=planes threads=0", "threads=0 lane=planes"] {
-            let err = EngineOptions::parse(text).unwrap_err();
-            assert!(
-                matches!(err, SpecParseError::BadOptions { .. }),
-                "{text}: {err:?}"
-            );
-        }
-        // `threads=0` without the plane lane keeps its legacy auto meaning,
-        // and `threads=auto` with the plane lane is the supported spelling.
-        assert_eq!(EngineOptions::parse("threads=0").unwrap().threads, 0);
-        let ok = EngineOptions::parse("lane=planes threads=auto").unwrap();
-        assert_eq!((ok.lane, ok.threads), (LaneSpec::Planes, 0));
-    }
-
-    #[test]
     fn progress_stride_round_trips_and_resolves() {
         let options = EngineOptions::default().with_progress_every(8);
         let text = options.to_text();
@@ -1831,6 +1812,29 @@ mod tests {
         ));
         let rendered = format!("{}", SpecParseError::BadTopology { detail: "x".into() });
         assert!(rendered.contains("bad topology"));
+    }
+
+    #[test]
+    fn oversize_topologies_are_rejected_at_parse_time() {
+        let spec = |topology: &str| format!("topology: {topology}\nrule: smp\nseed: uniform 1\n");
+        for topology in [
+            "toroidal-mesh 200000x200000",
+            // `rows * cols` overflows usize: rejected, not wrapped.
+            "toroidal-mesh 18446744073709551615x3",
+            "torus-cordalis 4097x4096",
+            "ring-lattice 16777217 2",
+        ] {
+            assert!(
+                matches!(
+                    RunSpec::from_text(&spec(topology)),
+                    Err(SpecParseError::BadTopology { .. })
+                ),
+                "{topology} must be rejected"
+            );
+        }
+        // The largest grid in use is exactly the limit and stays legal.
+        let largest = RunSpec::from_text(&spec("toroidal-mesh 4096x4096")).unwrap();
+        assert_eq!(largest.topology.node_count(), MAX_SPEC_NODES);
     }
 
     #[test]

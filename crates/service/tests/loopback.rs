@@ -161,6 +161,27 @@ fn wire_errors_carry_codes() {
 }
 
 #[test]
+fn oversize_topology_is_rejected_and_the_connection_survives() {
+    let (addr, server) = default_server();
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    // 4·10¹⁰ cells would abort the server on allocation if admitted.
+    let oversize = RunSpec::new(
+        TopologySpec::toroidal_mesh(200_000, 200_000),
+        RuleSpec::parse("smp").unwrap(),
+        SeedSpec::uniform(Color::new(1)),
+    );
+    match client.submit(&oversize) {
+        Err(ServiceError::Remote { code, .. }) => assert_eq!(code, "bad-spec"),
+        other => panic!("expected bad-spec, got {other:?}"),
+    }
+    // The same connection keeps answering.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.jobs_submitted, 0, "nothing was admitted");
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
 fn try_result_polls_until_done() {
     let (addr, server) = default_server();
     let mut client = ServiceClient::connect(addr.as_str()).unwrap();
