@@ -119,8 +119,14 @@ pub fn is_k_block(torus: &Torus, coloring: &Coloring, k: Color, set: &NodeSet) -
 }
 
 /// Checks whether the set of *all* `k`-coloured vertices is a union of
-/// `k`-blocks — the first necessary condition of Lemma 2 for a monotone
-/// dynamo.
+/// `k`-blocks, i.e. every `k` vertex has at least two `k` neighbours.
+///
+/// This is *sufficient* for the seed to keep colour `k` under SMP (at
+/// worst a 2–2 tie), but it is **not** a necessary condition for a
+/// monotone dynamo: a `k` vertex with one `k` neighbour and three pairwise
+/// distinct non-`k` neighbours sees no colour outvote `k` either.  The
+/// 5-vertex Theorem-2 dynamo on the 3×4 toroidal mesh has such a vertex at
+/// (0,2), so this check rejects it.
 pub fn seed_is_union_of_k_blocks(torus: &Torus, coloring: &Coloring, k: Color) -> bool {
     let candidates = ctori_coloring::color_class(coloring, k);
     if candidates.is_empty() {

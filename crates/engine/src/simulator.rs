@@ -440,13 +440,6 @@ impl<R: LocalRule> Simulator<R> {
         self
     }
 
-    /// Former name of [`Simulator::with_generic_lane`], from when the
-    /// packed lane was the only alternative backend.
-    #[deprecated(since = "0.6.0", note = "renamed to `with_generic_lane`")]
-    pub fn without_packed_lane(self) -> Self {
-        self.with_generic_lane()
-    }
-
     /// Forces the multi-colour bit-plane lane.  Unlike `lane=auto`, this
     /// also accepts two-colour configurations and tori of fewer than two
     /// rows; it still requires the rule to advertise a

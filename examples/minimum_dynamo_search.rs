@@ -1,10 +1,12 @@
 //! Exhaustive minimum-dynamo search on small tori.
 //!
 //! For each small torus the example searches every seed placement and every
-//! colouring of the remaining vertices (with Lemma-1/Lemma-2 pruning) for
-//! the smallest monotone dynamo, and compares the result with the paper's
-//! lower bounds — including the 3x3 serpentinus anomaly where the chained
-//! wrap-around creates triangles and a dynamo one below the bound exists.
+//! colouring of the remaining vertices (pruned by Lemma 1 and the
+//! union-of-`k`-blocks condition) for the smallest monotone dynamo, and
+//! compares the result with the paper's lower bounds — including the 3x3
+//! serpentinus anomaly where the chained wrap-around creates triangles and a
+//! dynamo one below the bound exists, and the 3x4 mesh where the block
+//! pruning hides the bound-size dynamo.
 //!
 //! Run with:
 //!
@@ -70,5 +72,12 @@ fn main() {
         "Note the 3x3 torus serpentinus: its chained wrap-around edges form triangles, so a \
          monotone dynamo of size 3 exists — one below the min(m, n) + 1 bound, which holds from \
          triangle-free sizes (m >= 4) onwards."
+    );
+    println!(
+        "\nNote the 3x4 toroidal mesh: the search reports 6, but the Theorem-2 seed of size \
+         m + n - 2 = 5 is a monotone dynamo.  The search prunes seeds that are not a union of \
+         k-blocks, and that seed is not one: vertex (0,2) has one seed neighbour and three \
+         pairwise distinct other colours, so nothing outvotes k there.  The block condition is \
+         sufficient for a seed vertex to keep k, not necessary."
     );
 }
